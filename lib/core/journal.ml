@@ -782,6 +782,10 @@ let open_ ?(sync = false) ?state path =
     hash_checkpoints = false;
   }
 
+let reopen ?sync path =
+  let recovered = recover ~repair:true path in
+  (recovered, open_ ?sync ~state:recovered path)
+
 (* ------------------------------------------------------------------ *)
 (* Segment directories (sharded journals)                              *)
 (*                                                                     *)

@@ -79,6 +79,13 @@ type recovered = {
     written after a blind reopen would otherwise snapshot an empty state. *)
 val open_ : ?sync:bool -> ?state:recovered -> string -> t
 
+(** [reopen path] restarts a journal after its writer died: it recovers
+    [path] with [~repair:true], so appends land after the trusted prefix,
+    and reopens it with the writer mirror seeded from the recovered state.
+    Returns that state and the reopened journal. Local crash recovery and
+    standby promotion both continue in a journal obtained this way. *)
+val reopen : ?sync:bool -> string -> recovered * t
+
 val close : t -> unit
 val log_submit : t -> Request.t -> unit
 val log_qualified : t -> (int * int) list -> unit

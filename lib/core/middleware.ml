@@ -329,6 +329,25 @@ let end_txn sim ta =
     l.holding <- l.holding - 1
   end
 
+(* The one place a lane scheduler is built, at setup and on recovery. A
+   recovered state is restored before the worker and shard tables are
+   registered, because restoring clears every table; ~rte keeps the execution
+   log continuous across the restart, so the whole run still check-validates
+   as one schedule. *)
+let build_scheduler cfg ~stamp ?restored journal =
+  let sched =
+    Scheduler.create ~extended:cfg.extended_relations
+      ~prune_history_each_cycle:cfg.prune_history ?journal
+      ?checkpoint_every:cfg.checkpoint_interval ?trace:cfg.trace ?stamp
+      cfg.protocol
+  in
+  let rels = Scheduler.relations sched in
+  Option.iter (fun r -> Journal.restore ~rte:true r rels) restored;
+  Relations.register_workers rels ~workers:cfg.workers
+    ~cores:cfg.cost.Ds_server.Cost_model.n_cores;
+  Relations.register_shards rels ~shards:cfg.shards;
+  sched
+
 let rec start_txn sim client =
   let ta = fresh_ta sim client in
   (match client.redo with
@@ -474,11 +493,13 @@ and run_cycle sim lane =
   in
   if crash_now then begin
     sim.crash_done <- true;
-    crash_and_recover sim
+    sim.crashes <- sim.crashes + 1;
+    recover sim ~source:(fun lane ->
+        Journal.reopen ~sync:sim.cfg.sync_journal (Option.get lane.journal_path))
   end
   else if pcrash_now then begin
     sim.pcrash_done <- true;
-    failover_promote sim
+    failover sim
   end
   else if not (barrier_clear sim lane) then begin
     (* Cross-shard barrier: this lane may not admit work right now. Hold
@@ -721,57 +742,37 @@ and deliver sim (req : Request.t) =
       end
     | Some _ | None -> ())
 
-and crash_and_recover sim =
-  sim.crashes <- sim.crashes + 1;
-  (* The epoch bump orphans every in-flight server callback: whatever the
-     backends were executing dies with the middleware process. *)
+(* The one recovery path, shared by a local crash and a standby promotion:
+   the scheduling state lives in relations, so a restart rebuilds them from
+   a journal, wherever that journal lives. [source lane] yields the state the
+   lane restarts from and the journal it continues in — its own segment,
+   reopened, after a local crash; the promoted standby after a failover.
+   Recovery is wall-clock timed end to end (read + replay + restore): with
+   checkpointing on, this is the number the recovery bench shows staying
+   sublinear in journal length. *)
+and recover sim ~source =
+  (* The epoch bump orphans every in-flight server callback and every held
+     sync-mode ack: whatever the dead process still owed its clients is now
+     decided by the recovered state. *)
   sim.epoch <- sim.epoch + 1;
-  (* Recovery is wall-clock timed end to end (read + replay + restore): with
-     checkpointing on, this is the number the recovery bench shows staying
-     sublinear in journal length. ~repair truncates any torn tail so the
-     reopened journal appends after the trusted prefix. Every lane crashes
-     and recovers its own journal segment. *)
   let t0 = Unix.gettimeofday () in
   let recovered_by_lane =
     Array.map
       (fun lane ->
-        let path =
-          match lane.journal_path with
-          | Some p -> p
-          | None -> invalid_arg "Middleware: crash fault requires a journal"
-        in
         (match lane.journal with
         | Some j ->
           sim.checkpoints_acc <-
             sim.checkpoints_acc + Journal.checkpoints_written j;
           Journal.crash j
-        | None -> assert false);
-        let recovered = Journal.recover ~repair:true path in
-        (* ~state seeds the new journal's state mirror; a checkpoint written
-           after a blind reopen would snapshot an empty state. *)
-        let j =
-          Journal.open_ ~sync:sim.cfg.sync_journal ~state:recovered path
-        in
-        let sched =
-          Scheduler.create ~extended:sim.cfg.extended_relations
-            ~prune_history_each_cycle:sim.cfg.prune_history ~journal:j
-            ?checkpoint_every:sim.cfg.checkpoint_interval ?trace:sim.cfg.trace
-            ?stamp:sim.stamp sim.cfg.protocol
-        in
-        (* ~rte keeps the execution log continuous across the crash, so the
-           whole run still check-validates as one schedule. *)
-        Journal.restore ~rte:true recovered (Scheduler.relations sched);
+        | None -> invalid_arg "Middleware: recovery requires a journal");
+        let recovered, j = source lane in
+        lane.sched <-
+          build_scheduler sim.cfg ~stamp:sim.stamp ~restored:recovered (Some j);
+        lane.journal <- Some j;
+        lane.fire_pending <- false;
         sim.recovery_replayed <-
           sim.recovery_replayed + recovered.Journal.replayed;
         sim.recovery_skipped <- sim.recovery_skipped + recovered.Journal.skipped;
-        Relations.register_workers (Scheduler.relations sched)
-          ~workers:sim.cfg.workers
-          ~cores:sim.cfg.cost.Ds_server.Cost_model.n_cores;
-        Relations.register_shards (Scheduler.relations sched)
-          ~shards:sim.cfg.shards;
-        lane.journal <- Some j;
-        lane.sched <- sched;
-        lane.fire_pending <- false;
         recovered)
       sim.lanes
   in
@@ -832,9 +833,7 @@ and crash_and_recover sim =
   Array.iter (fun l -> maybe_fire sim l) sim.lanes
 
 (* Reconcile every connected client against its own lane's recovered
-   relations (at S=1 there is exactly one lane, the historical path). Shared
-   by live crash recovery and hot-standby failover — the client contract is
-   the same either way. *)
+   state. The client contract is the same after a crash and a failover. *)
 and reconcile_clients sim recovered_by_lane =
   let mem_keys rs =
     let tbl = Hashtbl.create (2 * List.length rs) in
@@ -899,60 +898,24 @@ and reconcile_clients sim recovered_by_lane =
 
 (* Hot-standby failover: the primary dies permanently (its disk is never
    consulted) and the replication session promotes the warm standby under
-   the next epoch.  Structurally a sibling of [crash_and_recover], but the
-   continuation state comes from the standby's journal — whatever had not
-   crossed the replication watermark is gone, and the client reconciliation
-   below is what turns that loss into resubmissions and redos. *)
-and failover_promote sim =
+   the next epoch. Whatever had not crossed the replication watermark is
+   gone; client reconciliation turns that loss into resubmissions and redos.
+   The failover row goes into a table recovery itself never writes. *)
+and failover sim =
   let h =
     match sim.cfg.repl with Some h -> h | None -> assert false
     (* validated: pcrash requires a replication session *)
   in
   sim.failovers <- sim.failovers + 1;
-  (* The epoch bump orphans every in-flight server callback and every held
-     sync-mode ack: whatever the dead primary still owed its clients is now
-     decided by the promoted standby's recovered state. *)
-  sim.epoch <- sim.epoch + 1;
   sim.failed_over <- true;
-  let lane = sim.lanes.(0) in
-  (match lane.journal with
-  | Some j ->
-    sim.checkpoints_acc <- sim.checkpoints_acc + Journal.checkpoints_written j;
-    Journal.crash j
-  | None -> assert false);
-  let t0 = Unix.gettimeofday () in
-  let p = h.repl_promote () in
-  let recovered = p.rp_recovered in
-  let j = p.rp_journal in
-  let sched =
-    Scheduler.create ~extended:sim.cfg.extended_relations
-      ~prune_history_each_cycle:sim.cfg.prune_history ~journal:j
-      ?checkpoint_every:sim.cfg.checkpoint_interval ?trace:sim.cfg.trace
-      ?stamp:sim.stamp sim.cfg.protocol
-  in
-  (* ~rte keeps the execution log continuous across the failover, so the
-     whole run still check-validates as one schedule (now truncated at the
-     watermark and continued by the new primary). *)
-  Journal.restore ~rte:true recovered (Scheduler.relations sched);
-  sim.recovery_replayed <- sim.recovery_replayed + recovered.Journal.replayed;
-  sim.recovery_skipped <- sim.recovery_skipped + recovered.Journal.skipped;
-  Relations.register_workers (Scheduler.relations sched)
-    ~workers:sim.cfg.workers
-    ~cores:sim.cfg.cost.Ds_server.Cost_model.n_cores;
-  Relations.register_shards (Scheduler.relations sched) ~shards:sim.cfg.shards;
+  recover sim ~source:(fun _ ->
+      let p = h.repl_promote () in
+      Ds_obs.Trace.emit sim.cfg.trace Ds_obs.Trace.Failover ~ta:(-1) ~seq:(-1)
+        ~arg:p.rp_epoch ();
+      (p.rp_recovered, p.rp_journal));
   Relations.record_failover
-    (Scheduler.relations sched)
-    ~epoch:p.rp_epoch ~cycle:sim.cycles_done ~reason:"pcrash";
-  Ds_obs.Trace.emit sim.cfg.trace Ds_obs.Trace.Failover ~ta:(-1) ~seq:(-1)
-    ~arg:p.rp_epoch ();
-  lane.journal <- Some j;
-  lane.sched <- sched;
-  lane.fire_pending <- false;
-  sim.recovery_time <- sim.recovery_time +. (Unix.gettimeofday () -. t0);
-  (* In-flight retry bookkeeping died with the primary. *)
-  Hashtbl.reset sim.fail_streaks;
-  reconcile_clients sim [| recovered |];
-  maybe_fire sim lane
+    (Scheduler.relations sim.lanes.(0).sched)
+    ~epoch:(h.repl_status ()).rs_epoch ~cycle:sim.cycles_done ~reason:"pcrash"
 
 let run_sim (cfg : config) =
   (match Spec.validate cfg.spec with
@@ -1042,16 +1005,10 @@ let run_sim (cfg : config) =
             (fun p -> Journal.open_ ~sync:cfg.sync_journal p)
             lane_paths.(i)
         in
-        let sched =
-          Scheduler.create ~extended:cfg.extended_relations
-            ~prune_history_each_cycle:cfg.prune_history ?journal
-            ?checkpoint_every:cfg.checkpoint_interval ?trace:cfg.trace
-            ?stamp:stamp_hook cfg.protocol
-        in
         {
           lane_id = i;
           pool = Ds_server.Worker_pool.create engine cfg.cost ~workers:cfg.workers;
-          sched;
+          sched = build_scheduler cfg ~stamp:stamp_hook journal;
           journal;
           journal_path = lane_paths.(i);
           fire_pending = false;
@@ -1132,10 +1089,6 @@ let run_sim (cfg : config) =
   Array.iter
     (fun lane ->
       Ds_server.Worker_pool.set_trace lane.pool cfg.trace;
-      Relations.register_workers (Scheduler.relations lane.sched)
-        ~workers:cfg.workers ~cores:cfg.cost.Ds_server.Cost_model.n_cores;
-      Relations.register_shards (Scheduler.relations lane.sched)
-        ~shards:cfg.shards;
       (* Supervision deadlines: explicit factor wins; otherwise armed with a
          conservative default only when the plan injects worker faults (so
          fault-free runs keep their exact event timing). *)

@@ -15,9 +15,8 @@ let promote dir =
   let path = Session.standby_path_of dir in
   if not (Sys.file_exists path) then
     failwith (Printf.sprintf "%s: no standby journal" dir);
-  let recovered = Journal.recover ~repair:true path in
+  let recovered, j = Journal.reopen path in
   let epoch = recovered.Journal.epoch + 1 in
-  let j = Journal.open_ ~state:recovered path in
   Journal.log_epoch j epoch;
   Journal.flush j;
   Journal.close j;

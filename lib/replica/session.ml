@@ -9,12 +9,6 @@ let mode_of_string = function
   | "sync" -> Some Sync
   | _ -> None
 
-type promotion = {
-  p_recovered : Journal.recovered;
-  p_journal : Journal.t;
-  p_epoch : int;
-}
-
 (* Retransmission timeout: an unacked record older than this is re-sent on
    the next pump.  Well above the link's default base delay, well below a
    scheduler cycle's worth of traffic. *)
@@ -211,13 +205,12 @@ let promote t =
      state is meaningless now. *)
   Hashtbl.reset t.outbox;
   Hashtbl.reset t.reorder;
-  let recovered = Journal.recover ~repair:true t.standby_path in
+  let recovered, j = Journal.reopen t.standby_path in
   let epoch = max t.epoch recovered.Journal.epoch + 1 in
-  let j = Journal.open_ ~state:recovered t.standby_path in
   Journal.log_epoch j epoch;
   Journal.flush j;
   t.epoch <- epoch;
-  { p_recovered = recovered; p_journal = j; p_epoch = epoch }
+  { Middleware.rp_recovered = recovered; rp_journal = j; rp_epoch = epoch }
 
 let finish t =
   match t.standby with
@@ -259,14 +252,7 @@ let hooks t : Middleware.repl_hooks =
     repl_set_clock = set_clock t;
     repl_pump = (fun ~now -> pump t ~now);
     repl_synced = (fun ~ta -> synced t ~ta);
-    repl_promote =
-      (fun () ->
-        let p = promote t in
-        {
-          Middleware.rp_recovered = p.p_recovered;
-          rp_journal = p.p_journal;
-          rp_epoch = p.p_epoch;
-        });
+    repl_promote = (fun () -> promote t);
     repl_status =
       (fun () ->
         {

@@ -32,14 +32,6 @@ type mode = Async | Sync
 val mode_to_string : mode -> string
 val mode_of_string : string -> mode option
 
-(** What {!promote} hands the middleware: the recovered standby state, the
-    reopened journal (epoch already stamped) and the new epoch. *)
-type promotion = {
-  p_recovered : Journal.recovered;
-  p_journal : Journal.t;
-  p_epoch : int;
-}
-
 type t
 
 (** [create ~mode ~plan ~seed ~dir ()] starts a session journalling the
@@ -71,9 +63,11 @@ val pump : t -> now:float -> unit
     [ta] is at or below the standby's watermark. *)
 val synced : t -> ta:int -> bool
 
-(** Promote the standby to primary (see module doc).
+(** Promote the standby to primary (see module doc). Returns the recovered
+    standby state, the reopened journal (epoch already stamped) and the new
+    epoch.
     @raise Invalid_argument if already promoted. *)
-val promote : t -> promotion
+val promote : t -> Middleware.repl_promotion
 
 (** Flush the standby mirror (end of a run that never failed over, so
     [dsched failover] can promote the directory offline later). *)
