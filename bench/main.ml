@@ -1142,8 +1142,8 @@ let parallel_scaling ~duration ~json () =
   List.iter
     (fun workers ->
       let m = Ds_obs.Metrics.create () in
-      let s, sched =
-        Middleware.run_full
+      let s, h =
+        Middleware.run_sharded
           {
             (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
                ~trigger:(Trigger.Hybrid (0.01, 50))
@@ -1156,19 +1156,10 @@ let parallel_scaling ~duration ~json () =
             charge_scheduler_time = false;
           }
       in
-      let rels = Scheduler.relations sched in
-      let rte = Relations.rte_requests rels in
+      let rte = h.Middleware.merged_rte in
       (* The merged parallel schedule, reassembled from the declarative
          assignment log (pos = delivery order). *)
-      let by_key = Hashtbl.create (2 * List.length rte) in
-      List.iter
-        (fun r -> Hashtbl.replace by_key (Ds_model.Request.key r) r)
-        rte;
-      let merged =
-        List.filter_map
-          (fun key -> Hashtbl.find_opt by_key key)
-          (Relations.execution_order rels)
-      in
+      let merged = Middleware.delivered h in
       let report =
         Ds_check.Serializability.check_committed
           (Ds_check.Conflict_graph.events_of_requests rte)
@@ -1324,15 +1315,7 @@ let shards_scaling ~duration ~json () =
     (fun shards ->
       let s, h = Middleware.run_sharded (cfg shards) in
       let rte = h.Middleware.merged_rte in
-      let by_key = Hashtbl.create (2 * List.length rte) in
-      List.iter
-        (fun r -> Hashtbl.replace by_key (Ds_model.Request.key r) r)
-        rte;
-      let merged =
-        List.filter_map
-          (fun key -> Hashtbl.find_opt by_key key)
-          h.Middleware.merged_execution_order
-      in
+      let merged = Middleware.delivered h in
       let report =
         Ds_check.Serializability.check_committed
           (Ds_check.Conflict_graph.events_of_requests rte)
@@ -1714,25 +1697,6 @@ let failover_bench ~duration ~json () =
      (pcrash at cycle 150; durability checked per point)";
   let module Link = Ds_replica.Link in
   let module Session = Ds_replica.Session in
-  (* tas physically present ('Q' records) in the standby journal file *)
-  let standby_tas path =
-    let tas = Hashtbl.create 256 in
-    In_channel.with_open_bin path (fun ic ->
-        try
-          while true do
-            let line = input_line ic in
-            (* framing: '!' + crc32 hex + ' ' + payload *)
-            if String.length line > 12 && String.sub line 10 2 = "Q " then
-              match String.split_on_char ' ' line with
-              | _ :: "Q" :: ta :: _ -> (
-                match int_of_string_opt ta with
-                | Some ta -> Hashtbl.replace tas ta ()
-                | None -> ())
-              | _ -> ()
-          done
-        with End_of_file -> ());
-    tas
-  in
   let links =
     [
       ("clean", Link.none);
@@ -1802,42 +1766,9 @@ let failover_bench ~duration ~json () =
           in
           let s = Middleware.run cfg in
           Session.close session;
-          let events = Ds_obs.Trace.events trace in
-          let failover_at =
-            List.fold_left
-              (fun acc (e : Ds_obs.Trace.event) ->
-                if e.Ds_obs.Trace.kind = Ds_obs.Trace.Failover then
-                  Float.min acc e.Ds_obs.Trace.at
-                else acc)
-              infinity events
-          in
-          let acked_tas = Hashtbl.create 64 in
-          List.iter
-            (fun (e : Ds_obs.Trace.event) ->
-              if
-                e.Ds_obs.Trace.kind = Ds_obs.Trace.Commit
-                && e.Ds_obs.Trace.at < failover_at
-              then Hashtbl.replace acked_tas e.Ds_obs.Trace.ta ())
-            events;
-          let lsn_of = Hashtbl.create 256 in
-          List.iter
-            (fun (ta, lsn) -> Hashtbl.replace lsn_of ta lsn)
-            (Session.ta_lsns session);
-          let acked =
-            Hashtbl.fold
-              (fun ta () acc ->
-                (ta, Option.value ~default:0 (Hashtbl.find_opt lsn_of ta))
-                :: acc)
-              acked_tas []
-            |> List.sort compare
-          in
-          let present = standby_tas (Session.standby_path session) in
           let report =
-            Ds_check.Equivalence.check_failover ~sync:(mode = Session.Sync)
-              ~watermark:(Session.watermark session)
-              ~acked
-              ~survived:(Hashtbl.mem present)
-              ()
+            Ds_dst.Runner.failover_report session
+              ~trace_events:(Ds_obs.Trace.events trace)
           in
           let ok = Ds_check.Equivalence.failover_ok report in
           points :=

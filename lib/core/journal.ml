@@ -420,6 +420,39 @@ let classify raw =
     else Corrupt
   else Legacy line
 
+let qualified_ta payload =
+  if String.length payload > 2 && payload.[0] = 'Q' && payload.[1] = ' ' then
+    match String.split_on_char ' ' payload with
+    | "Q" :: ta :: _ -> int_of_string_opt ta
+    | _ -> None
+  else None
+
+let state_hash_of_record payload =
+  if String.length payload > 2 && payload.[0] = 'H' && payload.[1] = ' ' then
+    match String.split_on_char ' ' payload with
+    | [ "H"; cycle; hash ] -> (
+      match (int_of_string_opt cycle, int_of_string_opt ("0x" ^ hash)) with
+      | Some cycle, Some h -> Some (cycle, h)
+      | _ -> None)
+    | _ -> None
+  else None
+
+let qualified_tas path =
+  let tas = Hashtbl.create 256 in
+  In_channel.with_open_bin path (fun ic ->
+      let rec scan () =
+        match In_channel.input_line ic with
+        | None -> ()
+        | Some raw ->
+          (match classify raw with
+          | Framed payload | Legacy payload ->
+            Option.iter (fun ta -> Hashtbl.replace tas ta ()) (qualified_ta payload)
+          | Empty | Corrupt -> ());
+          scan ()
+      in
+      scan ());
+  Hashtbl.mem tas
+
 let starts_with prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix

@@ -172,6 +172,22 @@ val flush : t -> unit
     the kill-point recovery property to enumerate crash offsets. *)
 val size : t -> int
 
+(** [qualified_ta payload] is the transaction of a ['Q'] record payload
+    (the record as written, without its checksum frame), [None] for any
+    other record. *)
+val qualified_ta : string -> int option
+
+(** [state_hash_of_record payload] is [Some (cycle, hash)] for an ['H']
+    record payload (see {!set_hash_checkpoints}), [None] for any other
+    record. *)
+val state_hash_of_record : string -> (int * int) option
+
+(** [qualified_tas path] is a membership test for the transactions with at
+    least one ['Q'] record in the continuous log of the journal at [path].
+    Checkpoint-block copies (['c'] entries) do not count, and neither do
+    records whose checksum fails. *)
+val qualified_tas : string -> int -> bool
+
 (** Simulates a middleware crash: closes the channel and truncates the file
     back to the last flushed position, discarding entries a real crash would
     have lost from the channel buffer. The journal is unusable afterwards;

@@ -1435,6 +1435,11 @@ let run_sharded (cfg : config) =
   in
   (stats, { lane_schedulers; shard_of; merged_rte; merged_execution_order })
 
+let delivered h =
+  let by_key = Hashtbl.create (2 * List.length h.merged_rte) in
+  List.iter (fun r -> Hashtbl.replace by_key (Request.key r) r) h.merged_rte;
+  List.filter_map (Hashtbl.find_opt by_key) h.merged_execution_order
+
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf
     "committed=%d stmts=%d aborted=%d cycles=%d cycle(mean=%.2fms p95=%.2fms) \

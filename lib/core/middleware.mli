@@ -268,4 +268,10 @@ type handle = {
     cross-shard artifacts for checking. *)
 val run_sharded : config -> stats * handle
 
+(** The delivered schedule: [merged_execution_order] resolved against
+    [merged_rte] by request key, i.e. the requests in the order the backends
+    delivered them. Computed on each call; the candidate schedule the
+    equivalence checker compares against [merged_rte]. *)
+val delivered : handle -> Request.t list
+
 val pp_stats : Format.formatter -> stats -> unit

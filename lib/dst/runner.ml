@@ -108,12 +108,7 @@ let apply_inject inject ~rte ~merged =
         arr.(j) <- tmp);
       (Array.to_list arr, merged))
 
-(* The failover durability audit, mirroring `bench failover`: which
-   transactions were client-acked strictly before the promotion, and which of
-   those survive as ['Q'] records on the promoted journal — classified
-   against the final replication watermark by
-   {!Ds_check.Equivalence.check_failover}. *)
-let failover_report session ~trace_events ~standby_path =
+let failover_report session ~trace_events =
   let failover_at =
     List.fold_left
       (fun acc (e : Ds_obs.Trace.event) ->
@@ -136,30 +131,12 @@ let failover_report session ~trace_events ~standby_path =
       trace_events
     |> List.sort_uniq compare
   in
-  (* Execution records frame as [!crc32 Q <ta> <intrata>]: payload offset 10.
-     Checkpoint-block copies are prefixed [c ] and don't count — only the
-     continuous log decides survival. *)
-  let present = Hashtbl.create 64 in
-  In_channel.with_open_text standby_path (fun ic ->
-      let rec scan () =
-        match In_channel.input_line ic with
-        | None -> ()
-        | Some line ->
-          (if String.length line > 12 && String.sub line 10 2 = "Q " then
-             match String.split_on_char ' ' line with
-             | _ :: "Q" :: ta :: _ -> (
-               match int_of_string_opt ta with
-               | Some ta -> Hashtbl.replace present ta ()
-               | None -> ())
-             | _ -> ());
-          scan ()
-      in
-      scan ());
   Ds_check.Equivalence.check_failover
     ~sync:(Ds_replica.Session.mode session = Ds_replica.Session.Sync)
     ~watermark:(Ds_replica.Session.watermark session)
     ~acked
-    ~survived:(fun ta -> Hashtbl.mem present ta)
+    ~survived:
+      (Journal.qualified_tas (Ds_replica.Session.standby_path session))
     ()
 
 let run (s : Scenario.t) =
@@ -227,15 +204,10 @@ let run (s : Scenario.t) =
       Option.iter Ds_replica.Session.close session;
       (* At S=1 these are exactly the single lane's rte and delivery order;
          at S>1 the stamp-merged cross-lane equivalents. *)
-      let rte = h.Middleware.merged_rte in
-      let by_key = Hashtbl.create (2 * List.length rte) in
-      List.iter (fun r -> Hashtbl.replace by_key (Request.key r) r) rte;
-      let merged =
-        List.filter_map
-          (fun key -> Hashtbl.find_opt by_key key)
-          h.Middleware.merged_execution_order
+      let rte, merged =
+        apply_inject s.Scenario.inject ~rte:h.Middleware.merged_rte
+          ~merged:(Middleware.delivered h)
       in
-      let rte, merged = apply_inject s.Scenario.inject ~rte ~merged in
       let promoted =
         match session with
         | Some sess -> Ds_replica.Session.promoted sess
@@ -277,9 +249,7 @@ let run (s : Scenario.t) =
             (match session with
             | Some sess when promoted ->
               Some
-                (failover_report sess
-                   ~trace_events:(Ds_obs.Trace.events trace)
-                   ~standby_path:(Ds_replica.Session.standby_path sess))
+                (failover_report sess ~trace_events:(Ds_obs.Trace.events trace))
             | _ -> None);
         }
       in

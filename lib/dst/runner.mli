@@ -19,6 +19,16 @@ type outcome = {
 (** @raise Invalid_argument when the scenario fails {!Scenario.validate}. *)
 val run : Scenario.t -> outcome
 
+(** The failover durability audit: which transactions were client-acked
+    (committed in [trace_events]) strictly before the promotion, and which
+    of those survive as ['Q'] records in the session's promoted standby
+    journal, classified against the session's final replication
+    watermark by {!Ds_check.Equivalence.check_failover}. *)
+val failover_report :
+  Ds_replica.Session.t ->
+  trace_events:Ds_obs.Trace.event list ->
+  Ds_check.Equivalence.failover_report
+
 (** Failed invariants as [(name, detail)], battery order. *)
 val failures : outcome -> (string * string) list
 

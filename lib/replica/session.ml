@@ -106,13 +106,7 @@ let set_clock t f = t.clock <- f
 (* Q records are the logical execution facts; a transaction is sync-safe
    once every Q record it produced is at or below the standby's watermark. *)
 let note_record t lsn payload =
-  if String.length payload >= 2 && payload.[0] = 'Q' then
-    match String.split_on_char ' ' payload with
-    | "Q" :: ta :: _ -> (
-      match int_of_string_opt ta with
-      | Some ta -> Hashtbl.replace t.ta_lsn ta lsn
-      | None -> ())
-    | _ -> ()
+  Option.iter (fun ta -> Hashtbl.replace t.ta_lsn ta lsn) (Journal.qualified_ta payload)
 
 let on_record t lsn payload =
   if not t.promoted then begin
@@ -143,22 +137,15 @@ let drain t =
         Journal.append_raw j payload;
         t.watermark <- t.watermark + 1;
         Hashtbl.remove t.outbox t.watermark;
-        if String.length payload >= 2 && payload.[0] = 'H' then begin
-          match String.split_on_char ' ' payload with
-          | [ "H"; cycle; hash ] -> (
-            match
-              (int_of_string_opt cycle, int_of_string_opt ("0x" ^ hash))
-            with
-            | Some cycle, Some h ->
-              t.n_hash_checks <- t.n_hash_checks + 1;
-              if Journal.state_hash j <> h then begin
-                t.n_divergences <- t.n_divergences + 1;
-                Ds_obs.Trace.emit t.trace Ds_obs.Trace.Repl_divergence
-                  ~ta:(-1) ~seq:(-1) ~arg:cycle ()
-              end
-            | _ -> ())
-          | _ -> ()
-        end
+        match Journal.state_hash_of_record payload with
+        | Some (cycle, h) ->
+          t.n_hash_checks <- t.n_hash_checks + 1;
+          if Journal.state_hash j <> h then begin
+            t.n_divergences <- t.n_divergences + 1;
+            Ds_obs.Trace.emit t.trace Ds_obs.Trace.Repl_divergence ~ta:(-1)
+              ~seq:(-1) ~arg:cycle ()
+          end
+        | None -> ()
     done
 
 let pump t ~now =

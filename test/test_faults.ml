@@ -402,7 +402,7 @@ let test_parallel_faults_end_to_end () =
       Middleware.workers = 4;
     }
   in
-  let s, sched = Middleware.run_full config in
+  let s, h = Middleware.run_sharded config in
   Alcotest.(check int) "ran with 4 workers" 4 s.Middleware.workers;
   Alcotest.(check bool) "still commits under faults" true
     (s.Middleware.committed_txns > 0);
@@ -410,21 +410,13 @@ let test_parallel_faults_end_to_end () =
     (s.Middleware.injected_failures + s.Middleware.injected_stalls > 0);
   Alcotest.(check bool) "failures recovered via retry or dead-letter" true
     (s.Middleware.retries > 0 || s.Middleware.dead_lettered > 0);
-  let report = rte_report sched in
+  let report = rte_report h.Middleware.lane_schedulers.(0) in
   Alcotest.(check bool)
     (Format.asprintf "faulty parallel schedule clean: %a"
        Ds_check.Serializability.pp_report report)
     true
     (Ds_check.Serializability.is_clean report);
-  let rels = Scheduler.relations sched in
-  let rte = Relations.rte_requests rels in
-  let by_key = Hashtbl.create (2 * List.length rte) in
-  List.iter (fun r -> Hashtbl.replace by_key (Request.key r) r) rte;
-  let merged =
-    List.filter_map
-      (fun key -> Hashtbl.find_opt by_key key)
-      (Relations.execution_order rels)
-  in
+  let rte = h.Middleware.merged_rte and merged = Middleware.delivered h in
   let eq = Ds_check.Equivalence.check ~reference:rte ~candidate:merged () in
   Alcotest.(check bool)
     (Format.asprintf "assignment order conflict-equivalent under faults: %a"

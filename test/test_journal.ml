@@ -276,6 +276,40 @@ let test_crc_repair_truncates () =
       Alcotest.(check int) "repaired journal is clean" 0
         again.Journal.corrupt_dropped)
 
+(* The restart path shared by crash recovery and standby promotion: the torn
+   tail is cut off before anything is appended, and the reopened writer's
+   mirror starts from the recovered state, so its first checkpoint snapshots
+   that state rather than an empty one. *)
+let test_reopen_repairs_and_seeds () =
+  with_journal_file (fun path ->
+      drive_blocked path ~cycles:4 ~checkpoint_every:None;
+      let clean = Journal.recover path in
+      Alcotest.(check bool) "blocked writers pending" true
+        (clean.Journal.pending <> []);
+      let oc = open_out_gen [ Open_append ] 0o644 path in
+      output_string oc "!deadbeef S 99,99,1,w,5,standard,0.0\n!0000";
+      close_out oc;
+      let r, j = Journal.reopen path in
+      Alcotest.(check int) "torn tail dropped" 2 r.Journal.corrupt_dropped;
+      Alcotest.(check int) "file truncated to the trusted prefix"
+        r.Journal.valid_bytes
+        (Unix.stat path).Unix.st_size;
+      Journal.checkpoint j ~cycle:99;
+      Journal.flush j;
+      Journal.close j;
+      let after = Journal.recover path in
+      Alcotest.(check (option int)) "recovered from the new checkpoint"
+        (Some 99) after.Journal.checkpoint_cycle;
+      Alcotest.(check int) "clean after the reopen" 0
+        after.Journal.corrupt_dropped;
+      Alcotest.(check (list (pair int int)))
+        "checkpoint holds the recovered pending set" (pending_keys clean)
+        (pending_keys after);
+      Alcotest.(check (list (pair int int)))
+        "checkpoint holds the recovered history"
+        (List.map Request.key clean.Journal.history)
+        (List.map Request.key after.Journal.history))
+
 let test_kill_mid_record_with_checkpoints () =
   (* Truncating mid-record after the last checkpoint: the torn record is
      dropped by its checksum, the checkpoint is still used, and a repair
@@ -563,6 +597,8 @@ let tests =
       test_torn_checkpoint_previous_block;
     Alcotest.test_case "crc repair truncates the corrupt tail" `Quick
       test_crc_repair_truncates;
+    Alcotest.test_case "reopen repairs and seeds the writer" `Quick
+      test_reopen_repairs_and_seeds;
     Alcotest.test_case "mid-record kill with checkpoints" `Quick
       test_kill_mid_record_with_checkpoints;
     Alcotest.test_case "repair on an empty journal" `Quick

@@ -245,7 +245,7 @@ let test_pool_k1_matches_backend () =
 (* --- middleware end-to-end with workers=4 ------------------------- *)
 
 let middleware_run ?(workers = 4) ?metrics () =
-  Middleware.run_full
+  Middleware.run_sharded
     {
       Middleware.default_config with
       Middleware.n_clients = 15;
@@ -257,23 +257,13 @@ let middleware_run ?(workers = 4) ?metrics () =
       metrics;
     }
 
-let merged_schedule sched =
-  let rels = Scheduler.relations sched in
-  let rte = Relations.rte_requests rels in
-  let by_key = Hashtbl.create (2 * List.length rte) in
-  List.iter (fun r -> Hashtbl.replace by_key (Request.key r) r) rte;
-  ( rte,
-    List.filter_map
-      (fun key -> Hashtbl.find_opt by_key key)
-      (Relations.execution_order rels) )
-
 let test_middleware_parallel_clean () =
-  let s, sched = middleware_run () in
+  let s, h = middleware_run () in
   Alcotest.(check bool) "made progress" true (s.Middleware.committed_txns > 0);
   Alcotest.(check int) "ran with 4 workers" 4 s.Middleware.workers;
   Alcotest.(check bool) "batches drained" true
     (s.Middleware.batches_dispatched > 0);
-  let rte, merged = merged_schedule sched in
+  let rte = h.Middleware.merged_rte and merged = Middleware.delivered h in
   let report =
     Ds_check.Serializability.check_committed
       (Ds_check.Conflict_graph.events_of_requests rte)
@@ -288,8 +278,8 @@ let test_middleware_parallel_clean () =
     (Ds_check.Equivalence.is_equivalent eq)
 
 let test_assignment_relations_sql () =
-  let _, sched = middleware_run () in
-  let rels = Scheduler.relations sched in
+  let _, h = middleware_run () in
+  let rels = Scheduler.relations h.Middleware.lane_schedulers.(0) in
   Alcotest.(check int) "workers relation has 4 rows" 4
     (Relations.worker_count rels);
   Alcotest.(check bool) "assignment rows logged" true
@@ -310,8 +300,8 @@ let test_assignment_relations_sql () =
   | _ -> Alcotest.fail "expected rows from workers"
 
 let test_assignment_relations_datalog () =
-  let _, sched = middleware_run () in
-  let rels = Scheduler.relations sched in
+  let _, h = middleware_run () in
+  let rels = Scheduler.relations h.Middleware.lane_schedulers.(0) in
   let program =
     Ds_datalog.Dl_parser.parse_program
       "busy(W) :- assignment(_, _, W, _, _, _)."
@@ -498,8 +488,8 @@ let test_middleware_worker_faults_clean () =
   (* End-to-end: injected worker crashes and stalls at K=4, supervisor
      reassigning and hedging — the merged schedule must stay checker-clean
      and conflict-equivalent, and the supervision relation queryable. *)
-  let s, sched =
-    Middleware.run_full
+  let s, h =
+    Middleware.run_sharded
       {
         Middleware.default_config with
         Middleware.n_clients = 15;
@@ -525,7 +515,7 @@ let test_middleware_worker_faults_clean () =
   Alcotest.(check bool) "crashes injected" true (s.Middleware.worker_crashes > 0);
   Alcotest.(check bool) "classes reassigned" true
     (s.Middleware.reassigned_classes > 0);
-  let rte, merged = merged_schedule sched in
+  let rte = h.Middleware.merged_rte and merged = Middleware.delivered h in
   let report =
     Ds_check.Serializability.check_committed
       (Ds_check.Conflict_graph.events_of_requests rte)
@@ -535,7 +525,7 @@ let test_middleware_worker_faults_clean () =
   let eq = Ds_check.Equivalence.check ~reference:rte ~candidate:merged () in
   Alcotest.(check bool) "merged conflict-equivalent under worker faults" true
     (Ds_check.Equivalence.is_equivalent eq);
-  let rels = Scheduler.relations sched in
+  let rels = Scheduler.relations h.Middleware.lane_schedulers.(0) in
   match
     Ds_sql.Exec.exec_script rels.Relations.catalog
       "SELECT event, COUNT(*) FROM supervision GROUP BY event"

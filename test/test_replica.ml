@@ -10,7 +10,7 @@ open Ds_replica
 let small_spec =
   { Ds_workload.Spec.paper_default with Ds_workload.Spec.n_objects = 2000 }
 
-let cfg ?(n_clients = 12) ?(duration = 3.) ?(faults = Faults.none)
+let cfg ?(n_clients = 12) ?(duration = 3.) ?(faults = Faults.none) ?trace
     ~journal_path () =
   {
     Middleware.default_config with
@@ -23,6 +23,7 @@ let cfg ?(n_clients = 12) ?(duration = 3.) ?(faults = Faults.none)
     batch_timeout = Some 0.25;
     journal_path = Some journal_path;
     checkpoint_interval = Some 10;
+    trace;
   }
 
 let temp_name suffix =
@@ -32,7 +33,7 @@ let temp_name suffix =
 
 let rm_f p = try Sys.remove p with Sys_error _ -> ()
 
-let with_session_run ?faults ~mode ~plan f =
+let with_session_run ?faults ?trace ~mode ~plan f =
   let journal = temp_name ".journal" in
   let dir = temp_name ".repl.d" in
   let cleanup () =
@@ -45,7 +46,7 @@ let with_session_run ?faults ~mode ~plan f =
       let session = Session.create ~mode ~plan ~seed:7 ~dir () in
       let config =
         {
-          (cfg ?faults ~journal_path:journal ()) with
+          (cfg ?faults ?trace ~journal_path:journal ()) with
           Middleware.repl = Some (Session.hooks session);
         }
       in
@@ -164,6 +165,49 @@ let test_offline_promotion_monotonic_epoch () =
       let second = Failover.promote dir in
       Alcotest.(check int) "epochs are monotonic" 2 second.Failover.epoch)
 
+(* --- the shared recovery routine ------------------------------------------ *)
+
+let checkpoint_events trace =
+  List.length
+    (List.filter
+       (fun (e : Ds_obs.Trace.event) ->
+         e.Ds_obs.Trace.kind = Ds_obs.Trace.Checkpoint)
+       (Ds_obs.Trace.events trace))
+
+(* A local crash and a failover both replace the journal mid-run, and
+   [checkpoints] must still count every block the run wrote, the replaced
+   journal's included. Each restart began from a checkpoint (a skipped
+   prefix), so the replaced journal did write some. *)
+let test_checkpoints_counted_across_restarts () =
+  let check what ~trace (stats : Middleware.stats) =
+    Alcotest.(check bool)
+      (what ^ ": restarted from a checkpoint")
+      true
+      (stats.Middleware.recovery_skipped > 0);
+    Alcotest.(check int)
+      (what ^ ": every checkpoint block counted")
+      (checkpoint_events trace) stats.Middleware.checkpoints
+  in
+  let trace = Ds_obs.Trace.create () in
+  let journal = temp_name ".journal" in
+  Fun.protect
+    ~finally:(fun () -> rm_f journal)
+    (fun () ->
+      let stats =
+        Middleware.run
+          (cfg ~trace
+             ~faults:{ Faults.none with Faults.crash_at_cycle = Some 35 }
+             ~journal_path:journal ())
+      in
+      Alcotest.(check int) "one crash" 1 stats.Middleware.crashes;
+      check "crash" ~trace stats);
+  let trace = Ds_obs.Trace.create () in
+  with_session_run ~trace ~mode:Session.Sync ~plan:Link.none
+    ~faults:{ Faults.none with Faults.pcrash_at_cycle = Some 35 }
+    (fun ~stats ~session:_ ~dir:_ ->
+      Alcotest.(check int) "one failover" 1 stats.Middleware.failovers;
+      check "failover" ~trace stats)
+
 (* --- failover durability checker ----------------------------------------- *)
 
 let test_check_failover_classification () =
@@ -226,6 +270,8 @@ let tests =
       test_session_pcrash_fails_over;
     Alcotest.test_case "failover: offline promotion, monotonic epochs" `Quick
       test_offline_promotion_monotonic_epoch;
+    Alcotest.test_case "recovery: checkpoints counted across restarts" `Quick
+      test_checkpoints_counted_across_restarts;
     Alcotest.test_case "check_failover: watermark classification" `Quick
       test_check_failover_classification;
     Alcotest.test_case "check_failover: async window vs sync zero-loss" `Quick

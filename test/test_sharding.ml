@@ -27,23 +27,10 @@ let cfg ?(shards = 1) ?(n_clients = 12) ?(duration = 2.) ?spec:(sp = spec ())
 
 let keys rs = List.map Request.key rs
 
-(* Delivery-order candidate schedule, resolved against the merged rte the
-   same way the swarm runner builds its [merged]. *)
-let merged_schedule (h : Middleware.handle) =
-  let by_key =
-    Hashtbl.create (2 * List.length h.Middleware.merged_rte)
-  in
-  List.iter
-    (fun r -> Hashtbl.replace by_key (Request.key r) r)
-    h.Middleware.merged_rte;
-  List.filter_map
-    (fun key -> Hashtbl.find_opt by_key key)
-    h.Middleware.merged_execution_order
-
 let check_clean ?(allow_reorder = false) ~shards (h : Middleware.handle) =
   let report =
     Ds_check.Equivalence.check_sharded ~shards ~shard_of:h.Middleware.shard_of
-      ~reference:h.Middleware.merged_rte ~candidate:(merged_schedule h) ()
+      ~reference:h.Middleware.merged_rte ~candidate:(Middleware.delivered h) ()
   in
   let fatal =
     List.filter
