@@ -149,6 +149,9 @@ type client = {
   mutable remaining : Request.t list;
   mutable txn_start : float;
   mutable outstanding : Request.t option;
+  mutable admitted : bool;
+      (** the outstanding request has qualified: it holds its locks and is
+          executing, so the starvation timer no longer applies to it *)
   mutable stall_cycles : int;
   mutable data_stmts : int;  (** executed data statements of current txn *)
   mutable disconnect_after : int option;
@@ -422,6 +425,7 @@ and submit_next sim client =
     let accept () =
       client.remaining <- rest;
       client.outstanding <- Some req;
+      client.admitted <- false;
       client.stall_cycles <- 0
     in
     match sim.cfg.queue_capacity with
@@ -553,8 +557,9 @@ and run_cycle sim lane =
     (* Starvation accounting: clients routed to THIS lane whose outstanding
        request is still pending after this cycle. (A request can only ever
        qualify in its own lane's cycles, so other lanes' clients are not
-       stalled by this one.) At S=1 every client is on lane 0, which is the
-       historical behavior. *)
+       stalled by this one.) A request that has qualified is no longer
+       waiting: aborting its transaction would release locks it still
+       executes under and let a conflicting request run first. *)
     let qualified_keys = Hashtbl.create 64 in
     List.iter
       (fun r -> Hashtbl.replace qualified_keys (Request.key r) ())
@@ -562,17 +567,18 @@ and run_cycle sim lane =
     Array.iter
       (fun c ->
         match c.outstanding with
-        | Some o
-          when c.lane = lane.lane_id
-               && not (Hashtbl.mem qualified_keys (Request.key o)) ->
-          c.stall_cycles <- c.stall_cycles + 1;
-          if c.stall_cycles >= sim.cfg.starvation_cycles then begin
-            let ta = o.Request.ta in
-            ignore (Scheduler.abort_txn lane.sched ta);
-            end_txn sim ta;
-            sim.aborted_txns <- sim.aborted_txns + 1;
-            c.outstanding <- None;
-            restart_client ~redo:true sim c
+        | Some o when c.lane = lane.lane_id && not c.admitted ->
+          if Hashtbl.mem qualified_keys (Request.key o) then c.admitted <- true
+          else begin
+            c.stall_cycles <- c.stall_cycles + 1;
+            if c.stall_cycles >= sim.cfg.starvation_cycles then begin
+              let ta = o.Request.ta in
+              ignore (Scheduler.abort_txn lane.sched ta);
+              end_txn sim ta;
+              sim.aborted_txns <- sim.aborted_txns + 1;
+              c.outstanding <- None;
+              restart_client ~redo:true sim c
+            end
           end
         | _ -> ())
       sim.clients;
@@ -886,14 +892,16 @@ and reconcile_clients sim recovered_by_lane =
             ignore
               (Engine.schedule sim.engine ~after:0. (fun () -> deliver sim req))
         end
-        else if in_pending key then
-          (* Restored into the pending table; it will qualify in a later
-             cycle and the client keeps waiting. *)
-          ()
-        else
-          (* The S record was still in the channel buffer when the process
-             died; the client resubmits. *)
-          Scheduler.submit lane.sched req)
+        else begin
+          (* Not qualified as far as the recovered journal knows (a promoted
+             standby may lack the Q record), so it is waiting again. *)
+          c.admitted <- false;
+          if not (in_pending key) then
+            (* The S record was still in the channel buffer when the process
+               died; the client resubmits. A request restored into the
+               pending table qualifies in a later cycle instead. *)
+            Scheduler.submit lane.sched req
+        end)
     sim.clients
 
 (* Hot-standby failover: the primary dies permanently (its disk is never
@@ -1031,6 +1039,7 @@ let run_sim (cfg : config) =
               remaining = [];
               txn_start = 0.;
               outstanding = None;
+              admitted = false;
               stall_cycles = 0;
               data_stmts = 0;
               disconnect_after = None;

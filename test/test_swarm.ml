@@ -388,6 +388,25 @@ let test_committed_repro_still_fails () =
       "fails conflict-equivalence and nothing else"
       [ "conflict-equivalence" ] failed
 
+(* Regression: a batch stalled past the starvation timeout used to let the
+   timer abort a transaction whose request had already qualified. Its locks
+   were released while the request still executed, so a conflicting request
+   ran before it. The shrunk swarm repro must now pass the whole battery. *)
+let starved_admitted_path = "data/shrunk_starved_admitted.json"
+
+let test_starvation_spares_admitted () =
+  let text =
+    In_channel.with_open_text starved_admitted_path In_channel.input_all
+  in
+  match Scenario.of_json (Ds_obs.Json.of_string text) with
+  | Error m -> Alcotest.failf "%s did not decode: %s" starved_admitted_path m
+  | Ok scenario ->
+    let outcome = Runner.run scenario in
+    Alcotest.(check bool) "starvation aborts happened" true
+      (outcome.Runner.stats.Ds_core.Middleware.aborted_txns > 0);
+    Alcotest.(check (list string)) "every invariant holds" []
+      (List.map fst (Runner.failures outcome))
+
 let tests =
   [
     QCheck_alcotest.to_alcotest scenario_roundtrip;
@@ -426,6 +445,8 @@ let tests =
       test_shrinker_minimizes;
     Alcotest.test_case "shrinker rejects a passing scenario" `Quick
       test_shrinker_rejects_passing_scenario;
+    Alcotest.test_case "starvation timer spares admitted requests" `Quick
+      test_starvation_spares_admitted;
     Alcotest.test_case "committed shrunk repro still fails" `Quick
       test_committed_repro_still_fails;
   ]
