@@ -446,7 +446,9 @@ let qualified_tas path =
         | Some raw ->
           (match classify raw with
           | Framed payload | Legacy payload ->
-            Option.iter (fun ta -> Hashtbl.replace tas ta ()) (qualified_ta payload)
+            Option.iter
+              (fun ta -> Hashtbl.replace tas ta ())
+              (qualified_ta payload)
           | Empty | Corrupt -> ());
           scan ()
       in

@@ -499,7 +499,8 @@ and run_cycle sim lane =
     sim.crash_done <- true;
     sim.crashes <- sim.crashes + 1;
     recover sim ~source:(fun lane ->
-        Journal.reopen ~sync:sim.cfg.sync_journal (Option.get lane.journal_path))
+        Journal.reopen ~sync:sim.cfg.sync_journal
+          (Option.get lane.journal_path))
   end
   else if pcrash_now then begin
     sim.pcrash_done <- true;

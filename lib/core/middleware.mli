@@ -34,8 +34,9 @@
       sheds its least urgent request for a strictly-more-urgent arrival
       (SLA-tier-aware load shedding) or pushes back on the client
       (backpressure);
-    - after a crash, {!Journal.recover}/{!Journal.restore} rebuild the
-      relations, lost responses are re-delivered from the recovered history,
+    - after a crash, {!Journal.reopen}/{!Journal.restore} rebuild the
+      relations (through the same recovery routine a standby promotion
+      uses), lost responses are re-delivered from the recovered history,
       requests whose submission never reached the disk are resubmitted, and
       the run continues — the [rte] log stays one continuous, checkable
       schedule. With [checkpoint_interval] set, recovery replays only the

@@ -106,7 +106,9 @@ let set_clock t f = t.clock <- f
 (* Q records are the logical execution facts; a transaction is sync-safe
    once every Q record it produced is at or below the standby's watermark. *)
 let note_record t lsn payload =
-  Option.iter (fun ta -> Hashtbl.replace t.ta_lsn ta lsn) (Journal.qualified_ta payload)
+  Option.iter
+    (fun ta -> Hashtbl.replace t.ta_lsn ta lsn)
+    (Journal.qualified_ta payload)
 
 let on_record t lsn payload =
   if not t.promoted then begin
