@@ -3,7 +3,13 @@
 
      dune exec bench/main.exe                 -- all experiments, quick scale
      dune exec bench/main.exe -- figure2 --window 240 --runs 3
+     dune exec bench/main.exe -- shards --json bench-shards.json
      dune exec bench/main.exe -- list
+
+   Each experiment is one record (name, section title, run) in
+   [experiments] at the bottom; its rows go through one column list that
+   prints the table and builds the JSON points, so the printed report and
+   the --json artifact cannot drift apart.
 
    Quick scale uses shorter measurement windows than the paper's 240 s; the
    reported ratios are window-relative, so the shapes are comparable. *)
@@ -12,27 +18,116 @@ open Ds_core
 open Ds_server
 open Ds_workload
 module Tablefmt = Ds_util.Tablefmt
-
-let section title =
-  Printf.printf "\n==============================================================\n";
-  Printf.printf "%s\n" title;
-  Printf.printf "==============================================================\n%!"
+module Json = Ds_obs.Json
 
 let note fmt = Printf.printf (fmt ^^ "\n%!")
+
+(* ------------------------------------------------------------------ *)
+(* Columns, reports and experiments                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A column is declared once: its JSON key, its table header (none for a
+   JSON-only column) and how a row renders as a cell and as JSON. *)
+type 'r column = {
+  key : string;
+  head : string option;
+  align : Tablefmt.align;
+  text : 'r -> string;
+  json : 'r -> Json.t;
+}
+
+let col ?head ?(align = Tablefmt.Right) key text json =
+  { key; head; align; text; json }
+
+let num_i n = Json.Num (float_of_int n)
+
+let int ?head key get =
+  col ?head key (fun r -> string_of_int (get r)) (fun r -> num_i (get r))
+
+(* [scale] applies to the printed cell only: JSON keeps the raw value, so a
+   "_s" key can back a "(ms)" header. *)
+let float ?head ?(scale = 1.) key fmt get =
+  col ?head key
+    (fun r -> Printf.sprintf fmt (scale *. get r))
+    (fun r -> Json.Num (get r))
+
+let str ?head key get =
+  col ?head ~align:Tablefmt.Left key get (fun r -> Json.Str (get r))
+
+let flag ?head key (yes, no) get =
+  col ?head ~align:Tablefmt.Left key
+    (fun r -> if get r then yes else no)
+    (fun r -> Json.Bool (get r))
+
+(* A JSON-only column with the same value on every row. *)
+let const key v = col key (fun _ -> "") (fun _ -> v)
+
+let fields cols r = List.map (fun c -> (c.key, c.json r)) cols
+
+(* The one row emitter: prints the columns that have a header as a table
+   and returns every row as a JSON point. *)
+let emit rows cols =
+  let shown = List.filter (fun c -> c.head <> None) cols in
+  let t =
+    Tablefmt.create
+      ~aligns:(List.map (fun c -> c.align) shown)
+      (List.filter_map (fun c -> c.head) shown)
+  in
+  List.iter
+    (fun r -> Tablefmt.add_row t (List.map (fun c -> c.text r) shown))
+    rows;
+  Tablefmt.print t;
+  List.map (fun r -> Json.Obj (fields cols r)) rows
+
+(* The flags, one record shared by [all] and single runs. *)
+type params = {
+  window : float;  (** MU measurement window (virtual s) *)
+  runs : int;  (** runs per point, averaged *)
+  duration : float;  (** middleware experiment duration (virtual s) *)
+  cycle_scale : float;  (** scale factor on declarative cycle times *)
+  history_sizes : int list;  (** index experiment sweep *)
+  cycles : int;  (** measured cycles per index point *)
+  swarm_n : int;  (** swarm experiment scenarios *)
+}
+
+type report = {
+  seed : int;  (** the seed the artifact stamp records *)
+  config : (string * Json.t) list;  (** knobs: in the stamp and top level *)
+  summary : (string * Json.t) list;  (** top-level verdicts *)
+  points : Json.t list;
+}
+
+let mw_seed = Middleware.default_config.Middleware.seed
+
+let report ?(seed = mw_seed) ?(summary = []) config points =
+  { seed; config; summary; points }
+
+let by_window p = [ ("window", Json.Num p.window); ("runs", num_i p.runs) ]
+let by_runs p = [ ("runs", num_i p.runs) ]
+let by_duration p = [ ("duration", Json.Num p.duration) ]
+
+type experiment = {
+  name : string;
+  title : string;  (** the section banner *)
+  in_all : bool;  (** part of [all] (the Bechamel micro is not) *)
+  run : params -> report;
+}
+
+let exp ?(in_all = true) name title run = { name; title; in_all; run }
 
 (* ------------------------------------------------------------------ *)
 (* Shared measurement machinery                                       *)
 (* ------------------------------------------------------------------ *)
 
-let native_run ~clients ~window ~seed ~log =
-  Native_sim.run
-    {
-      Native_sim.default_config with
-      Native_sim.n_clients = clients;
-      duration = window;
-      seed;
-      log_schedule = log;
-    }
+(* Runs [cfg] once per seed [seed .. seed + runs - 1] and returns [avg]:
+   the mean over those runs of a statistic of each run's [keep] projection
+   (which lets a caller drop the logged schedule once it has used it). *)
+let native_avg ~runs ~seed cfg keep =
+  let xs =
+    List.init runs (fun r ->
+        keep (Native_sim.run { cfg with Native_sim.seed = seed + r }))
+  in
+  fun f -> List.fold_left (fun acc x -> acc +. f x) 0. xs /. float_of_int runs
 
 (* Averaged MU statistics + SU replay time for one client count. *)
 type mu_point = {
@@ -44,238 +139,288 @@ type mu_point = {
   cpu_util : float;
 }
 
-let measure_mu ~window ~runs clients =
-  let stmts = ref 0. and su = ref 0. and dl = ref 0. and cpu = ref 0. in
-  for r = 1 to runs do
-    let s = native_run ~clients ~window ~seed:(41 + r) ~log:true in
-    stmts := !stmts +. float_of_int s.Native_sim.committed_stmts;
-    su := !su +. Replay.single_user_time Cost_model.default s.Native_sim.schedule;
-    dl := !dl +. float_of_int s.Native_sim.deadlocks;
-    cpu := !cpu +. s.Native_sim.cpu_utilization
-  done;
-  let f = float_of_int runs in
-  let su_time = !su /. f in
+let mu_seed = 42
+
+let measure_mu p clients =
+  let avg =
+    native_avg ~runs:p.runs ~seed:mu_seed
+      {
+        Native_sim.default_config with
+        Native_sim.n_clients = clients;
+        duration = p.window;
+        log_schedule = true;
+      }
+      (fun s ->
+        ( { s with Native_sim.schedule = [] },
+          Replay.single_user_time Cost_model.default s.Native_sim.schedule ))
+  in
+  let su_time = avg snd in
   {
     clients;
-    committed_stmts = !stmts /. f;
+    committed_stmts =
+      avg (fun (s, _) -> float_of_int s.Native_sim.committed_stmts);
     su_time;
-    ratio_pct = 100. *. window /. su_time;
-    deadlocks = !dl /. f;
-    cpu_util = !cpu /. f;
+    ratio_pct = 100. *. p.window /. su_time;
+    deadlocks = avg (fun (s, _) -> float_of_int s.Native_sim.deadlocks);
+    cpu_util = avg (fun (s, _) -> s.Native_sim.cpu_utilization);
   }
 
+let mu_cols =
+  [
+    int ~head:"clients" "clients" (fun m -> m.clients);
+    float ~head:"MU stmts" "mu_stmts" "%.0f" (fun m -> m.committed_stmts);
+    float ~head:"SU time (s)" "su_time_s" "%.1f" (fun m -> m.su_time);
+  ]
+
+(* A column of a Native_sim sweep whose rows carry [avg]. *)
+let mean ?scale head key f =
+  float ~head ?scale key "%.0f" (fun (_, avg) -> avg f)
+
+let probe p clients proto =
+  Overhead_probe.measure ~runs:p.runs
+    { Overhead_probe.default_setup with Overhead_probe.n_clients = clients }
+    proto
+
+let spec20k = { Spec.paper_default with Spec.n_objects = 20_000 }
+
+let mw_cfg ?(protocol = Builtin.ss2pl_ocaml)
+    ?(trigger = Trigger.Hybrid (0.01, 50)) ?(spec = spec20k) ~clients p =
+  {
+    Middleware.default_config with
+    Middleware.n_clients = clients;
+    duration = p.duration;
+    spec;
+    protocol;
+    trigger;
+    charge_scheduler_time = true;
+  }
+
+(* Middleware stats columns shared by the closed-loop experiments. *)
+let committed ?(head = "committed") get =
+  int ~head "committed" (fun r -> (get r).Middleware.committed_txns)
+
+let p95_latency get =
+  float ~head:"p95 latency (s)" "p95_latency_s" "%.3f" (fun r ->
+      (get r).Middleware.p95_txn_latency)
+
+let mean_cycle get =
+  float ~head:"mean cycle (ms)" ~scale:1000. "mean_cycle_s" "%.3f" (fun r ->
+      (get r).Middleware.mean_cycle_time)
+
+(* Checker and conflict-equivalence verdicts for a run's merged schedule;
+   with [shards > 1] equivalence also checks router soundness. *)
+let verdicts ?(shards = 1) (h : Middleware.handle) =
+  let rte = h.Middleware.merged_rte in
+  (* The merged schedule, reassembled from the declarative assignment log
+     (pos = delivery order). *)
+  let merged = Middleware.delivered h in
+  let report =
+    Ds_check.Serializability.check_committed
+      (Ds_check.Conflict_graph.events_of_requests rte)
+  in
+  let equiv =
+    if shards > 1 then
+      Ds_check.Equivalence.check_sharded ~shards
+        ~shard_of:h.Middleware.shard_of ~reference:rte ~candidate:merged ()
+    else Ds_check.Equivalence.check ~reference:rte ~candidate:merged ()
+  in
+  ( Ds_check.Serializability.is_clean report,
+    Ds_check.Equivalence.is_equivalent equiv )
+
+let verdict_cols get =
+  [
+    flag ~head:"checker" "checker_clean" ("clean", "DIRTY") (fun r ->
+        fst (get r));
+    flag ~head:"conflict-equivalent" "conflict_equivalent" ("yes", "NO")
+      (fun r -> snd (get r));
+  ]
+
+(* [base /. x], the ratio the scaling experiments report against their
+   first point. *)
+let ratio base x = if x > 0. then base /. x else 1.
+
+let with_temp_journal f =
+  let path = Filename.temp_file "ds_bench" ".journal" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
 (* ------------------------------------------------------------------ *)
-(* E1 — Figure 2                                                      *)
+(* Experiments                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let figure2 ~window ~runs () =
-  section
-    (Printf.sprintf
-       "Figure 2: execution time MU / execution time SU (%%), %.0f s window, \
-        %d run(s) per point"
-       window runs);
-  let points = [ 1; 25; 50; 100; 150; 200; 250; 300; 350; 400; 450; 500; 550; 600 ] in
-  let t =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "clients"; "MU stmts"; "SU time (s)"; "MU/SU (%)"; "deadlocks" ]
+let figure2 =
+  exp "figure2" "Figure 2: execution time MU / execution time SU (%)"
+  @@ fun p ->
+  note "%.0f s window, %d run(s) per point" p.window p.runs;
+  let rows =
+    List.map (measure_mu p)
+      [ 1; 25; 50; 100; 150; 200; 250; 300; 350; 400; 450; 500; 550; 600 ]
   in
-  let series = ref [] in
-  List.iter
-    (fun clients ->
-      let p = measure_mu ~window ~runs clients in
-      series := (clients, p.ratio_pct) :: !series;
-      Tablefmt.add_row t
-        [
-          string_of_int clients;
-          Printf.sprintf "%.0f" p.committed_stmts;
-          Printf.sprintf "%.1f" p.su_time;
-          Printf.sprintf "%.0f" p.ratio_pct;
-          Printf.sprintf "%.0f" p.deadlocks;
+  let points =
+    emit rows
+      (mu_cols
+      @ [
+          float ~head:"MU/SU (%)" "mu_su_pct" "%.0f" (fun m -> m.ratio_pct);
+          float ~head:"deadlocks" "deadlocks" "%.0f" (fun m -> m.deadlocks);
         ])
-    points;
-  Tablefmt.print t;
+  in
   (* ASCII rendition of the figure (log-scale y, like the paper's plot). *)
   note "";
   note "log10(MU/SU %%) vs clients  (paper: ~100%% at 1 client, knee before 500)";
   List.iter
-    (fun (c, ratio) ->
-      let stars = int_of_float ((log10 (Float.max 100. ratio) -. 1.9) *. 25.) in
-      note "%5d | %s %.0f%%" c (String.make (max 1 stars) '#') ratio)
-    (List.rev !series)
+    (fun m ->
+      let stars =
+        int_of_float ((log10 (Float.max 100. m.ratio_pct) -. 1.9) *. 25.)
+      in
+      note "%5d | %s %.0f%%" m.clients (String.make (max 1 stars) '#')
+        m.ratio_pct)
+    rows;
+  report ~seed:mu_seed (by_window p) points
 
-(* ------------------------------------------------------------------ *)
-(* E2 — §4.2.2 native scheduler overhead                              *)
-(* ------------------------------------------------------------------ *)
-
-let native_overhead ~window ~runs () =
-  section
-    (Printf.sprintf
-       "Native scheduler overhead (paper 4.2.2; paper at 240 s: 300 clients \
-        -> 550055 stmts, SU 194 s, overhead 46 s; 500 clients -> 48267 \
-        stmts, SU 15 s, overhead 225 s)"
-       );
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [ Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "clients"; "MU stmts"; "SU time (s)"; "overhead (s)"; "CPU util (%)" ]
-  in
-  List.iter
-    (fun clients ->
-      let p = measure_mu ~window ~runs clients in
-      Tablefmt.add_row t
-        [
-          string_of_int clients;
-          Printf.sprintf "%.0f" p.committed_stmts;
-          Printf.sprintf "%.1f" p.su_time;
-          Printf.sprintf "%.1f" (window -. p.su_time);
-          Printf.sprintf "%.0f" (100. *. p.cpu_util);
+let native_overhead =
+  exp "native-overhead"
+    "Native scheduler overhead (paper 4.2.2; paper at 240 s: 300 clients -> \
+     550055 stmts, SU 194 s, overhead 46 s; 500 clients -> 48267 stmts, SU \
+     15 s, overhead 225 s)"
+  @@ fun p ->
+  let points =
+    emit
+      (List.map (measure_mu p) [ 300; 500 ])
+      (mu_cols
+      @ [
+          float ~head:"overhead (s)" "overhead_s" "%.1f" (fun m ->
+              p.window -. m.su_time);
+          float ~head:"CPU util (%)" ~scale:100. "cpu_util" "%.0f" (fun m ->
+              m.cpu_util);
         ])
-    [ 300; 500 ];
-  Tablefmt.print t;
+  in
   note "window = %.0f s; 'overhead' = window - SU replay time (paper's method)"
-    window
+    p.window;
+  report ~seed:mu_seed (by_window p) points
 
-(* ------------------------------------------------------------------ *)
-(* E3 — §4.3.2 declarative scheduling overhead                        *)
-(* ------------------------------------------------------------------ *)
-
-let declarative_overhead ~runs () =
-  section
+let declarative_overhead =
+  exp "declarative-overhead"
     "Declarative scheduling overhead (paper 4.3.2; paper: 358 ms per cycle at \
-     300 clients, 545 ms at 500; qualified ~ clients/2)";
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right;
-        ]
+     300 clients, 545 ms at 500; qualified ~ clients/2)"
+  @@ fun p ->
+  let module O = Overhead_probe in
+  let ms head key get = float ~head ~scale:1000. key "%.3f" get in
+  let points =
+    emit
+      (List.map
+         (fun c -> probe p c Builtin.ss2pl_sql)
+         [ 50; 100; 200; 300; 400; 500; 600 ])
       [
-        "clients"; "pending"; "history"; "qualified"; "cycle (ms)"; "query (ms)";
+        int ~head:"clients" "clients" (fun m -> m.O.n_clients);
+        int ~head:"pending" "pending" (fun m -> m.O.pending);
+        int ~head:"history" "history" (fun m -> m.O.history);
+        int ~head:"qualified" "qualified" (fun m -> m.O.qualified);
+        ms "cycle (ms)" "cycle_s" (fun m -> m.O.cycle_time);
+        ms "query (ms)" "query_s" (fun m -> m.O.query_time);
       ]
   in
-  List.iter
-    (fun clients ->
-      let m =
-        Overhead_probe.measure ~runs
-          { Overhead_probe.default_setup with Overhead_probe.n_clients = clients }
-          Builtin.ss2pl_sql
-      in
-      Tablefmt.add_row t
-        [
-          string_of_int clients;
-          string_of_int m.Overhead_probe.pending;
-          string_of_int m.Overhead_probe.history;
-          string_of_int m.Overhead_probe.qualified;
-          Printf.sprintf "%.3f" (1000. *. m.Overhead_probe.cycle_time);
-          Printf.sprintf "%.3f" (1000. *. m.Overhead_probe.query_time);
-        ])
-    [ 50; 100; 200; 300; 400; 500; 600 ];
-  Tablefmt.print t;
   note
     "One cycle = drain queue + insert pending + run Listing 1 + move \
-     qualified to history (the paper's 4.3.1 measurement)."
+     qualified to history (the paper's 4.3.1 measurement).";
+  report (by_runs p) points
 
-(* ------------------------------------------------------------------ *)
-(* E3b — crossover: native vs declarative amortized overhead           *)
-(* ------------------------------------------------------------------ *)
-
-let crossover ~window ~runs ~cycle_scale () =
-  section
-    (Printf.sprintf
-       "Crossover: native scheduling overhead vs amortized declarative \
-        overhead (cycle-time scale factor %.0fx)"
-       cycle_scale);
+let crossover =
+  exp "crossover"
+    "Crossover: native scheduling overhead vs amortized declarative overhead"
+  @@ fun p ->
+  note "cycle-time scale factor %.0fx" p.cycle_scale;
   note
     "The paper (2010, commercial DBMS as query processor) found the \
      crossover between 300 and 500 clients. Our in-process OCaml engine \
      evaluates Listing 1 orders of magnitude faster, which moves the \
      crossover to much lower client counts; --cycle-scale emulates a slower \
      scheduler database.";
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Left;
-        ]
+  let point clients =
+    let mu = measure_mu p clients in
+    let m = probe p clients Builtin.ss2pl_sql in
+    let decl_ovh =
+      p.cycle_scale
+      *. Overhead_probe.amortized_overhead m
+           ~total_stmts:(int_of_float mu.committed_stmts)
+    in
+    let cycles_needed =
+      mu.committed_stmts /. float_of_int (max 1 m.Overhead_probe.qualified)
+    in
+    (clients, p.window -. mu.su_time, decl_ovh, cycles_needed)
+  in
+  let ovh head key get = float ~head key "%.1f" get in
+  let points =
+    emit
+      (List.map point [ 1; 10; 25; 50; 100; 200; 300; 400; 500 ])
       [
-        "clients"; "native ovh (s)"; "declarative ovh (s)"; "cycles needed";
-        "winner";
+        int ~head:"clients" "clients" (fun (c, _, _, _) -> c);
+        ovh "native ovh (s)" "native_overhead_s" (fun (_, n, _, _) -> n);
+        ovh "declarative ovh (s)" "declarative_overhead_s" (fun (_, _, d, _) -> d);
+        float ~head:"cycles needed" "cycles_needed" "%.0f" (fun (_, _, _, c) -> c);
+        str ~head:"winner" "winner" (fun (_, n, d, _) ->
+            if d < n then "declarative" else "native");
       ]
   in
-  List.iter
-    (fun clients ->
-      let p = measure_mu ~window ~runs clients in
-      let m =
-        Overhead_probe.measure ~runs
-          { Overhead_probe.default_setup with Overhead_probe.n_clients = clients }
-          Builtin.ss2pl_sql
-      in
-      let native_ovh = window -. p.su_time in
-      let decl_ovh =
-        cycle_scale
-        *. Overhead_probe.amortized_overhead m
-             ~total_stmts:(int_of_float p.committed_stmts)
-      in
-      let cycles_needed =
-        p.committed_stmts /. float_of_int (max 1 m.Overhead_probe.qualified)
-      in
-      Tablefmt.add_row t
-        [
-          string_of_int clients;
-          Printf.sprintf "%.1f" native_ovh;
-          Printf.sprintf "%.1f" decl_ovh;
-          Printf.sprintf "%.0f" cycles_needed;
-          (if decl_ovh < native_ovh then "declarative" else "native");
-        ])
-    [ 1; 10; 25; 50; 100; 200; 300; 400; 500 ];
-  Tablefmt.print t
+  report ~seed:mu_seed (("cycle_scale", Json.Num p.cycle_scale) :: by_window p)
+    points
 
-(* ------------------------------------------------------------------ *)
-(* E4 — Table 1                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let table1 () =
-  section
+let table1 =
+  exp "table1"
     "Table 1: related approaches (P performance, QoS, D declarativity, F \
-     flexibility, HS high scalability)";
-  print_string (Related.render_table ())
+     flexibility, HS high scalability)"
+  @@ fun _ ->
+  let feature head key get =
+    col ~head ~align:Tablefmt.Center key
+      (fun (a : Related.approach) -> if get a.Related.features then "+" else "-")
+      (fun a -> Json.Bool (get a.Related.features))
+  in
+  let points =
+    emit
+      (Related.paper_rows @ [ Related.declarative_scheduler ])
+      [
+        str ~head:"Approach" "approach" (fun a -> a.Related.name);
+        str "reference" (fun a -> a.Related.reference);
+        feature "P" "performance" (fun f -> f.Related.performance);
+        feature "QoS" "qos" (fun f -> f.Related.qos);
+        feature "D" "declarative" (fun f -> f.Related.declarative);
+        feature "F" "flexible" (fun f -> f.Related.flexible);
+        feature "HS" "high_scalability" (fun f -> f.Related.high_scalability);
+      ]
+  in
+  report [] points
 
-(* ------------------------------------------------------------------ *)
-(* E5 — Table 2                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let table2 () =
-  section "Table 2: attributes of the requests / history / rte tables";
-  let t = Tablefmt.create [ "Attribute"; "Description" ] in
-  List.iter (Tablefmt.add_row t)
-    [
-      [ "ID"; "Consecutive request number" ];
-      [ "TA"; "Transaction number" ];
-      [ "INTRATA"; "Request number within a transaction" ];
-      [ "Operation"; "Operation type (read/write/abort/commit)" ];
-      [ "Object"; "Object number" ];
-    ];
-  Tablefmt.print t;
+let table2 =
+  exp "table2" "Table 2: attributes of the requests / history / rte tables"
+  @@ fun _ ->
+  let points =
+    emit
+      [
+        ("ID", "Consecutive request number");
+        ("TA", "Transaction number");
+        ("INTRATA", "Request number within a transaction");
+        ("Operation", "Operation type (read/write/abort/commit)");
+        ("Object", "Object number");
+      ]
+      [
+        str ~head:"Attribute" "attribute" fst;
+        str ~head:"Description" "description" snd;
+      ]
+  in
   let s = Relations.schema ~extended:false in
   note "Implemented schema: %s"
     (Format.asprintf "%a" Ds_relal.Schema.pp s);
   note "Extended (QoS) schema: %s"
-    (Format.asprintf "%a" Ds_relal.Schema.pp (Relations.schema ~extended:true))
+    (Format.asprintf "%a" Ds_relal.Schema.pp (Relations.schema ~extended:true));
+  report [] points
 
-(* ------------------------------------------------------------------ *)
-(* E6/A2 — Listing 1 microbenchmark via Bechamel                       *)
-(* ------------------------------------------------------------------ *)
-
-let listing1_micro ~clients () =
-  section
+let listing1_micro =
+  let clients = 300 in
+  exp ~in_all:false "listing1-micro"
     (Printf.sprintf
        "Listing 1 evaluation cost at %d clients (Bechamel; optimizer ablation \
         A2)"
-       clients);
+       clients)
+  @@ fun _ ->
   (* Time the protocol query on a standard probe fill: 20 history rows per
      active transaction, one pending request each. *)
   let make_test level name =
@@ -300,231 +445,196 @@ let listing1_micro ~clients () =
     Bechamel.Test.make ~name
       (Bechamel.Staged.stage (fun () -> ignore (Ds_sql.Exec.run_plan plan)))
   in
-  let tests =
-    [
-      make_test `None "ss2pl-noopt";
-      make_test `Basic "ss2pl-basic";
-      make_test `Full "ss2pl-full";
-    ]
-  in
-  let benchmark test =
+  let estimate test =
     let open Bechamel in
     let instances = Toolkit.Instance.[ monotonic_clock ] in
     let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) () in
-    Benchmark.all cfg instances test
+    let ols =
+      Analyze.all
+        (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
+        Toolkit.Instance.monotonic_clock
+        (Benchmark.all cfg instances test)
+    in
+    Hashtbl.fold
+      (fun name result acc ->
+        match Analyze.OLS.estimates result with
+        | Some [ est ] -> (name, Some (est /. 1e6)) :: acc
+        | _ -> (name, None) :: acc)
+      ols []
   in
-  let open Bechamel in
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false
-             ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> note "%-14s %10.3f ms/run" name (est /. 1e6)
-          | _ -> note "%-14s (no estimate)" name)
-        ols)
-    tests
+  let points =
+    emit
+      (List.concat_map estimate
+         [
+           make_test `None "ss2pl-noopt";
+           make_test `Basic "ss2pl-basic";
+           make_test `Full "ss2pl-full";
+         ])
+      [
+        str ~head:"plan" "plan" fst;
+        col ~head:"ms/run" "ms_per_run"
+          (fun (_, ms) ->
+            Option.fold ~none:"(no estimate)" ~some:(Printf.sprintf "%.3f") ms)
+          (fun (_, ms) -> Option.fold ~none:Json.Null ~some:(fun v -> Json.Num v) ms);
+      ]
+  in
+  report ~seed:42 [ ("clients", num_i clients) ] points
 
-(* ------------------------------------------------------------------ *)
-(* A1 — trigger policies                                              *)
-(* ------------------------------------------------------------------ *)
-
-let middleware_cfg ~protocol ~trigger ~clients ~duration ~spec =
-  {
-    Middleware.default_config with
-    Middleware.n_clients = clients;
-    duration;
-    spec;
-    protocol;
-    trigger;
-    charge_scheduler_time = true;
-  }
-
-let trigger_policies ~duration () =
-  section
+let trigger_policies =
+  exp "triggers"
     "Ablation A1: trigger policy (paper 3.3: 'the best condition has to be \
-     evaluated experimentally')";
-  let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [ Tablefmt.Left; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "trigger"; "committed txns"; "cycles"; "mean batch"; "p95 latency (s)" ]
+     evaluated experimentally')"
+  @@ fun p ->
+  let run trigger = (trigger, Middleware.run (mw_cfg ~trigger ~clients:100 p)) in
+  let points =
+    emit
+      (List.map run
+         [
+           Trigger.Time_lapse 0.002;
+           Trigger.Time_lapse 0.01;
+           Trigger.Time_lapse 0.05;
+           Trigger.Fill_level 25;
+           Trigger.Fill_level 100;
+           Trigger.Hybrid (0.01, 100);
+         ])
+      [
+        str ~head:"trigger" "trigger" (fun (tr, _) -> Trigger.to_string tr);
+        committed ~head:"committed txns" snd;
+        int ~head:"cycles" "cycles" (fun (_, s) -> s.Middleware.cycles);
+        float ~head:"mean batch" "mean_batch" "%.1f" (fun (_, s) ->
+            s.Middleware.mean_batch);
+        p95_latency snd;
+      ]
   in
-  List.iter
-    (fun trigger ->
-      let s =
-        Middleware.run
-          (middleware_cfg ~protocol:Builtin.ss2pl_ocaml ~trigger ~clients:100
-             ~duration ~spec)
-      in
-      Tablefmt.add_row t
-        [
-          Trigger.to_string trigger;
-          string_of_int s.Middleware.committed_txns;
-          string_of_int s.Middleware.cycles;
-          Printf.sprintf "%.1f" s.Middleware.mean_batch;
-          Printf.sprintf "%.3f" s.Middleware.p95_txn_latency;
-        ])
-    [
-      Trigger.Time_lapse 0.002;
-      Trigger.Time_lapse 0.01;
-      Trigger.Time_lapse 0.05;
-      Trigger.Fill_level 25;
-      Trigger.Fill_level 100;
-      Trigger.Hybrid (0.01, 100);
-    ];
-  Tablefmt.print t
+  report (by_duration p) points
 
-(* ------------------------------------------------------------------ *)
-(* A3 — SQL vs Datalog vs hand-coded                                  *)
-(* ------------------------------------------------------------------ *)
-
-let succinctness () =
-  section
-    "Ablation A3a: specification size (paper 3.4 productivity metric, lines)";
-  let t =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Left; Tablefmt.Left; Tablefmt.Right ]
-      [ "protocol"; "language"; "spec lines" ]
+let succinctness =
+  exp "succinctness"
+    "Ablation A3a: specification size (paper 3.4 productivity metric, lines)"
+  @@ fun _ ->
+  let points =
+    emit
+      [
+        Builtin.ss2pl_sql;
+        Builtin.ss2pl_datalog;
+        Builtin.ss2pl_ocaml;
+        Builtin.ss2pl_ordered_sql;
+        Builtin.ss2pl_ordered_datalog;
+        Builtin.read_committed_sql;
+        Builtin.read_committed_datalog;
+      ]
+      [
+        str ~head:"protocol" "protocol" (fun p -> p.Protocol.name);
+        str ~head:"language" "language" (fun p ->
+            match p.Protocol.language with
+            | `Sql -> "SQL"
+            | `Datalog -> "Datalog"
+            | `Ocaml -> "OCaml (imperative)");
+        int ~head:"spec lines" "spec_lines" (fun p -> p.Protocol.spec_loc);
+      ]
   in
-  List.iter
-    (fun (p : Protocol.t) ->
-      Tablefmt.add_row t
-        [
-          p.Protocol.name;
-          (match p.Protocol.language with
-          | `Sql -> "SQL"
-          | `Datalog -> "Datalog"
-          | `Ocaml -> "OCaml (imperative)");
-          string_of_int p.Protocol.spec_loc;
-        ])
-    [
-      Builtin.ss2pl_sql;
-      Builtin.ss2pl_datalog;
-      Builtin.ss2pl_ocaml;
-      Builtin.ss2pl_ordered_sql;
-      Builtin.ss2pl_ordered_datalog;
-      Builtin.read_committed_sql;
-      Builtin.read_committed_datalog;
-    ];
-  Tablefmt.print t
+  report [] points
 
-let datalog_vs_sql ~runs () =
-  section "Ablation A3b: protocol evaluation cost, SQL vs Datalog vs OCaml";
-  let t =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "clients"; "SQL (ms)"; "Datalog (ms)"; "OCaml (ms)" ]
+(* Columns of the experiments whose rows are a client count and an array
+   of timings, one per [(head, key)]. *)
+let timings_cols heads =
+  int ~head:"clients" "clients" fst
+  :: List.mapi
+       (fun i (head, key) -> float ~head key "%.2f" (fun (_, t) -> t.(i)))
+       heads
+
+let datalog_vs_sql =
+  exp "datalog-vs-sql"
+    "Ablation A3b: protocol evaluation cost, SQL vs Datalog vs OCaml"
+  @@ fun p ->
+  let time c proto = 1000. *. (probe p c proto).Overhead_probe.cycle_time in
+  let points =
+    emit
+      (List.map
+         (fun c ->
+           let sql = time c Builtin.ss2pl_sql in
+           let datalog = time c Builtin.ss2pl_datalog in
+           (c, [| sql; datalog; time c Builtin.ss2pl_ocaml |]))
+         [ 50; 150; 300; 500 ])
+      (timings_cols
+         [
+           ("SQL (ms)", "sql_ms");
+           ("Datalog (ms)", "datalog_ms");
+           ("OCaml (ms)", "ocaml_ms");
+         ])
   in
-  List.iter
-    (fun clients ->
-      let time proto =
-        let m =
-          Overhead_probe.measure ~runs
-            { Overhead_probe.default_setup with Overhead_probe.n_clients = clients }
-            proto
-        in
-        1000. *. m.Overhead_probe.cycle_time
-      in
-      Tablefmt.add_row t
-        [
-          string_of_int clients;
-          Printf.sprintf "%.2f" (time Builtin.ss2pl_sql);
-          Printf.sprintf "%.2f" (time Builtin.ss2pl_datalog);
-          Printf.sprintf "%.2f" (time Builtin.ss2pl_ocaml);
-        ])
-    [ 50; 150; 300; 500 ];
-  Tablefmt.print t
+  report (by_runs p) points
 
-(* ------------------------------------------------------------------ *)
-(* A2 — optimizer ablation (table form)                               *)
-(* ------------------------------------------------------------------ *)
-
-let optimizer_ablation ~runs () =
-  section
+let optimizer_ablation =
+  exp "optimizer"
     "Ablation A2: optimizer level for Listing 1 (same declarative spec, \
-     different plans)";
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right;
-        ]
-      [ "clients"; "no-opt (ms)"; "basic (ms)"; "full (ms)"; "full, no index (ms)" ]
+     different plans)"
+  @@ fun p ->
+  let time ?(indexes = true) c level =
+    let saved = !Ds_relal.Eval.use_table_indexes in
+    Ds_relal.Eval.use_table_indexes := indexes;
+    let m = probe p c (Builtin.ss2pl_sql_at level) in
+    Ds_relal.Eval.use_table_indexes := saved;
+    1000. *. m.Overhead_probe.query_time
   in
-  List.iter
-    (fun clients ->
-      let time ?(indexes = true) level =
-        let saved = !Ds_relal.Eval.use_table_indexes in
-        Ds_relal.Eval.use_table_indexes := indexes;
-        let m =
-          Overhead_probe.measure ~runs
-            { Overhead_probe.default_setup with Overhead_probe.n_clients = clients }
-            (Builtin.ss2pl_sql_at level)
-        in
-        Ds_relal.Eval.use_table_indexes := saved;
-        1000. *. m.Overhead_probe.query_time
-      in
-      Tablefmt.add_row t
-        [
-          string_of_int clients;
-          Printf.sprintf "%.2f" (time `None);
-          Printf.sprintf "%.2f" (time `Basic);
-          Printf.sprintf "%.2f" (time `Full);
-          Printf.sprintf "%.2f" (time ~indexes:false `Full);
-        ])
-    [ 50; 150; 300 ];
-  Tablefmt.print t;
+  let points =
+    emit
+      (List.map
+         (fun c ->
+           let noopt = time c `None in
+           let basic = time c `Basic in
+           let full = time c `Full in
+           (c, [| noopt; basic; full; time ~indexes:false c `Full |]))
+         [ 50; 150; 300 ])
+      (timings_cols
+         [
+           ("no-opt (ms)", "noopt_ms");
+           ("basic (ms)", "basic_ms");
+           ("full (ms)", "full_ms");
+           ("full, no index (ms)", "full_noindex_ms");
+         ])
+  in
   note
     "The specification is identical in all three columns; only plan \
      rewriting differs (the paper's 1 'optimization without affecting the \
-     scheduler specification')."
+     scheduler specification').";
+  report (by_runs p) points
 
-(* ------------------------------------------------------------------ *)
-(* A4 — relaxed consistency under load                                *)
-(* ------------------------------------------------------------------ *)
-
-let relaxed_consistency ~duration () =
-  section
+let relaxed_consistency =
+  exp "relaxed"
     "Ablation A4: relaxed consistency under contention (paper 1: 'reduced \
-     consistency criteria may be used during times of high load')";
-  let spec = { Spec.paper_default with Spec.n_objects = 3_000 } in
-  let t =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Left; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "protocol"; "committed txns"; "starvation aborts"; "p95 latency (s)" ]
+     consistency criteria may be used during times of high load')"
+  @@ fun p ->
+  let run spec (protocol : Protocol.t) =
+    let trigger = Trigger.Hybrid (0.01, 60) in
+    (protocol, Middleware.run (mw_cfg ~protocol ~trigger ~spec ~clients:60 p))
   in
-  List.iter
-    (fun (proto : Protocol.t) ->
-      let s =
-        Middleware.run
-          (middleware_cfg ~protocol:proto ~trigger:(Trigger.Hybrid (0.01, 60))
-             ~clients:60 ~duration ~spec)
-      in
-      Tablefmt.add_row t
-        [
-          proto.Protocol.name;
-          string_of_int s.Middleware.committed_txns;
-          string_of_int s.Middleware.aborted_txns;
-          Printf.sprintf "%.3f" s.Middleware.p95_txn_latency;
-        ])
+  let head mix =
     [
-      Builtin.ss2pl_sql;
-      Builtin.read_committed_sql;
-      Builtin.rationing ~threshold:300;
-      Adaptive.protocol
-        (Adaptive.ss2pl_with_relief ~high_watermark:40 ~low_watermark:10);
-      Builtin.fcfs;
-    ];
-  Tablefmt.print t;
+      const "mix" (Json.Str mix);
+      str ~head:"protocol" "protocol" (fun (pr, _) -> pr.Protocol.name);
+      committed ~head:"committed txns" snd;
+    ]
+  in
+  let spec = { Spec.paper_default with Spec.n_objects = 3_000 } in
+  let contended =
+    emit
+      (List.map (run spec)
+         [
+           Builtin.ss2pl_sql;
+           Builtin.read_committed_sql;
+           Builtin.rationing ~threshold:300;
+           Adaptive.protocol
+             (Adaptive.ss2pl_with_relief ~high_watermark:40 ~low_watermark:10);
+           Builtin.fcfs;
+         ])
+      (head "contended"
+      @ [
+          int ~head:"starvation aborts" "starvation_aborts" (fun (_, s) ->
+              s.Middleware.aborted_txns);
+          p95_latency snd;
+        ])
+  in
   (* Read-mostly variant (80% read-only transactions): the regime where the
      Ganymed-style reader offload (paper 2) pays off. *)
   note "";
@@ -532,354 +642,240 @@ let relaxed_consistency ~duration () =
   let spec =
     { spec with Spec.read_only_fraction = 0.8; updates_per_txn = 6; selects_per_txn = 14 }
   in
-  let t2 =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Left; Tablefmt.Right; Tablefmt.Right ]
-      [ "protocol"; "committed txns"; "p95 latency (s)" ]
+  let read_mostly =
+    emit
+      (List.map (run spec)
+         [ Builtin.ss2pl_sql; Builtin.read_committed_sql; Builtin.reader_offload ])
+      (head "read-mostly" @ [ p95_latency snd ])
   in
-  List.iter
-    (fun (proto : Protocol.t) ->
-      let s =
-        Middleware.run
-          (middleware_cfg ~protocol:proto ~trigger:(Trigger.Hybrid (0.01, 60))
-             ~clients:60 ~duration ~spec)
-      in
-      Tablefmt.add_row t2
-        [
-          proto.Protocol.name;
-          string_of_int s.Middleware.committed_txns;
-          Printf.sprintf "%.3f" s.Middleware.p95_txn_latency;
-        ])
-    [ Builtin.ss2pl_sql; Builtin.read_committed_sql; Builtin.reader_offload ];
-  Tablefmt.print t2
+  report (by_duration p) (contended @ read_mostly)
 
-(* ------------------------------------------------------------------ *)
-(* A5 — batch size sweep                                              *)
-(* ------------------------------------------------------------------ *)
-
-let batch_sweep ~duration () =
-  section "Ablation A5: fill-level (batch size) sweep";
-  let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-  let t =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "fill level"; "committed txns"; "mean cycle (ms)"; "p95 latency (s)" ]
+let batch_sweep =
+  exp "batch-sweep" "Ablation A5: fill-level (batch size) sweep" @@ fun p ->
+  let run k =
+    (k, Middleware.run (mw_cfg ~trigger:(Trigger.Hybrid (0.1, k)) ~clients:120 p))
   in
-  List.iter
-    (fun k ->
-      let s =
-        Middleware.run
-          (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-             ~trigger:(Trigger.Hybrid (0.1, k)) ~clients:120 ~duration ~spec)
-      in
-      Tablefmt.add_row t
-        [
-          string_of_int k;
-          string_of_int s.Middleware.committed_txns;
-          Printf.sprintf "%.3f" (1000. *. s.Middleware.mean_cycle_time);
-          Printf.sprintf "%.3f" s.Middleware.p95_txn_latency;
-        ])
-    [ 10; 30; 60; 120; 240 ];
-  Tablefmt.print t
-
-(* ------------------------------------------------------------------ *)
-(* MPL ablation: external admission control on the native scheduler    *)
-(* ------------------------------------------------------------------ *)
-
-let mpl_ablation ~window ~runs () =
-  section
-    "Ablation: multiprogramming limit at 500 clients (the EQMS-style MPL \
-     tuning of Schroeder et al., paper 2) - admission control avoids the \
-     thrashing the declarative scheduler also avoids";
-  let t =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Left; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "MPL"; "MU stmts"; "deadlocks"; "CPU util (%)" ]
-  in
-  List.iter
-    (fun mpl ->
-      let stmts = ref 0. and dl = ref 0. and cpu = ref 0. in
-      for r = 1 to runs do
-        let s =
-          Native_sim.run
-            {
-              Native_sim.default_config with
-              Native_sim.n_clients = 500;
-              duration = window;
-              seed = 60 + r;
-              mpl;
-            }
-        in
-        stmts := !stmts +. float_of_int s.Native_sim.committed_stmts;
-        dl := !dl +. float_of_int s.Native_sim.deadlocks;
-        cpu := !cpu +. s.Native_sim.cpu_utilization
-      done;
-      let f = float_of_int runs in
-      Tablefmt.add_row t
-        [
-          (match mpl with None -> "unlimited" | Some k -> string_of_int k);
-          Printf.sprintf "%.0f" (!stmts /. f);
-          Printf.sprintf "%.0f" (!dl /. f);
-          Printf.sprintf "%.0f" (100. *. !cpu /. f);
-        ])
-    [ None; Some 300; Some 150; Some 75; Some 25 ];
-  Tablefmt.print t
-
-(* ------------------------------------------------------------------ *)
-(* Open-loop saturation sweep (the paper's 4.3 operating mode)          *)
-(* ------------------------------------------------------------------ *)
-
-let open_loop ~duration () =
-  section
-    "Open-loop batch scheduling: whole transactions arrive as a Poisson \
-     stream (the paper's pre-scheduled workloads); saturation sweep over the \
-     arrival rate (server capacity ~ 69 txns/s at 41 ops per txn)";
-  let spec = { Spec.paper_default with Spec.n_objects = 50_000 } in
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Left; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right;
-        ]
+  let points =
+    emit
+      (List.map run [ 10; 30; 60; 120; 240 ])
       [
-        "txns/s"; "protocol"; "completed"; "p95 latency (s)"; "peak backlog";
-        "residual";
+        int ~head:"fill level" "fill_level" fst;
+        committed ~head:"committed txns" snd;
+        mean_cycle snd;
+        p95_latency snd;
       ]
   in
-  List.iter
-    (fun rate ->
-      List.iter
-        (fun (proto : Protocol.t) ->
-          let s =
-            Batch_sim.run
-              {
-                Batch_sim.default_config with
-                Batch_sim.arrival_rate = rate;
-                duration;
-                spec;
-                protocol = proto;
-              }
-          in
-          Tablefmt.add_row t
-            [
-              Printf.sprintf "%.0f" rate;
-              proto.Protocol.name;
-              string_of_int s.Batch_sim.completed_txns;
-              Printf.sprintf "%.3f" s.Batch_sim.p95_latency;
-              string_of_int s.Batch_sim.peak_backlog;
-              string_of_int s.Batch_sim.residual_pending;
-            ])
-        [ Builtin.ss2pl_ocaml; Builtin.c2pl; Builtin.fcfs ])
-    [ 20.; 40.; 60.; 80. ];
-  Tablefmt.print t;
+  report (by_duration p) points
+
+let mpl_ablation =
+  exp "mpl"
+    "Ablation: multiprogramming limit at 500 clients (the EQMS-style MPL \
+     tuning of Schroeder et al., paper 2) - admission control avoids the \
+     thrashing the declarative scheduler also avoids"
+  @@ fun p ->
+  let run mpl =
+    ( mpl,
+      native_avg ~runs:p.runs ~seed:61
+        {
+          Native_sim.default_config with
+          Native_sim.n_clients = 500;
+          duration = p.window;
+          mpl;
+        }
+        Fun.id )
+  in
+  let points =
+    emit
+      (List.map run [ None; Some 300; Some 150; Some 75; Some 25 ])
+      [
+        col ~head:"MPL" ~align:Tablefmt.Left "mpl"
+          (fun (mpl, _) -> Option.fold ~none:"unlimited" ~some:string_of_int mpl)
+          (fun (mpl, _) -> Option.fold ~none:Json.Null ~some:num_i mpl);
+        mean "MU stmts" "mu_stmts" (fun s ->
+            float_of_int s.Native_sim.committed_stmts);
+        mean "deadlocks" "deadlocks" (fun s ->
+            float_of_int s.Native_sim.deadlocks);
+        mean "CPU util (%)" ~scale:100. "cpu_util" (fun s ->
+            s.Native_sim.cpu_utilization);
+      ]
+  in
+  report ~seed:61 (by_window p) points
+
+let open_loop =
+  exp "open-loop"
+    "Open-loop batch scheduling: whole transactions arrive as a Poisson \
+     stream (the paper's pre-scheduled workloads); saturation sweep over the \
+     arrival rate (server capacity ~ 69 txns/s at 41 ops per txn)"
+  @@ fun p ->
+  let spec = { Spec.paper_default with Spec.n_objects = 50_000 } in
+  let run rate (protocol : Protocol.t) =
+    let s =
+      Batch_sim.run
+        {
+          Batch_sim.default_config with
+          Batch_sim.arrival_rate = rate;
+          duration = p.duration;
+          spec;
+          protocol;
+        }
+    in
+    (rate, protocol, s)
+  in
+  let count head key f = int ~head key (fun (_, _, s) -> f s) in
+  let points =
+    emit
+      (List.concat_map
+         (fun rate ->
+           List.map (run rate) [ Builtin.ss2pl_ocaml; Builtin.c2pl; Builtin.fcfs ])
+         [ 20.; 40.; 60.; 80. ])
+      [
+        float ~head:"txns/s" "arrival_rate" "%.0f" (fun (r, _, _) -> r);
+        str ~head:"protocol" "protocol" (fun (_, pr, _) -> pr.Protocol.name);
+        count "completed" "completed" (fun s -> s.Batch_sim.completed_txns);
+        float ~head:"p95 latency (s)" "p95_latency_s" "%.3f" (fun (_, _, s) ->
+            s.Batch_sim.p95_latency);
+        count "peak backlog" "peak_backlog" (fun s -> s.Batch_sim.peak_backlog);
+        count "residual" "residual" (fun s -> s.Batch_sim.residual_pending);
+      ]
+  in
   note
     "Beyond saturation (~69 txns/s) completions cap at server capacity and \
      latency explodes: the excess queues in front of the server, while the \
      scheduler-side backlog stays bounded at this (low) contention level. \
      The protocols coincide here because conflicts are rare; the closed-loop \
-     'relaxed' experiment covers the contended regime."
+     'relaxed' experiment covers the contended regime.";
+  report (by_duration p) points
 
-(* ------------------------------------------------------------------ *)
-(* Deadlock policy ablation                                             *)
-(* ------------------------------------------------------------------ *)
-
-let deadlock_policy_ablation ~window ~runs () =
-  section
+let deadlock_policy_ablation =
+  exp "deadlock-policy"
     "Ablation: deadlock handling in the native scheduler (detection vs \
-     wound-wait), 300 clients on a contended store";
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [ Tablefmt.Left; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "policy"; "MU stmts"; "deadlocks"; "wounds"; "wasted stmts" ]
-  in
-  List.iter
-    (fun (name, policy) ->
-      let stmts = ref 0. and dl = ref 0. and wo = ref 0. and wasted = ref 0. in
-      for r = 1 to runs do
-        let s =
-          Native_sim.run
-            {
-              Native_sim.default_config with
-              Native_sim.n_clients = 300;
-              duration = window;
-              seed = 70 + r;
-              spec = { Spec.paper_default with Spec.n_objects = 20_000 };
-              deadlock_policy = policy;
-            }
-        in
-        stmts := !stmts +. float_of_int s.Native_sim.committed_stmts;
-        dl := !dl +. float_of_int s.Native_sim.deadlocks;
-        wo := !wo +. float_of_int s.Native_sim.wounds;
-        wasted := !wasted +. float_of_int s.Native_sim.wasted_stmts
-      done;
-      let f = float_of_int runs in
-      Tablefmt.add_row t
-        [
-          name;
-          Printf.sprintf "%.0f" (!stmts /. f);
-          Printf.sprintf "%.0f" (!dl /. f);
-          Printf.sprintf "%.0f" (!wo /. f);
-          Printf.sprintf "%.0f" (!wasted /. f);
-        ])
-    [ ("detection", `Detection); ("wound-wait", `Wound_wait) ];
-  Tablefmt.print t
-
-(* ------------------------------------------------------------------ *)
-(* History pruning ablation                                            *)
-(* ------------------------------------------------------------------ *)
-
-let history_pruning ~duration () =
-  section "Ablation: history pruning on/off";
-  let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-  let t =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Left; Tablefmt.Right; Tablefmt.Right ]
-      [ "pruning"; "committed txns"; "mean cycle (ms)" ]
-  in
-  List.iter
-    (fun prune ->
-      let cfg =
+     wound-wait), 300 clients on a contended store"
+  @@ fun p ->
+  let run (name, policy) =
+    ( name,
+      native_avg ~runs:p.runs ~seed:71
         {
-          (middleware_cfg ~protocol:Builtin.ss2pl_sql
-             ~trigger:(Trigger.Hybrid (0.01, 60)) ~clients:60 ~duration ~spec)
-          with
-          Middleware.prune_history = prune;
+          Native_sim.default_config with
+          Native_sim.n_clients = 300;
+          duration = p.window;
+          spec = spec20k;
+          deadlock_policy = policy;
         }
-      in
-      let s = Middleware.run cfg in
-      Tablefmt.add_row t
-        [
-          (if prune then "every cycle" else "never");
-          string_of_int s.Middleware.committed_txns;
-          Printf.sprintf "%.3f" (1000. *. s.Middleware.mean_cycle_time);
-        ])
-    [ true; false ];
-  Tablefmt.print t
+        Fun.id )
+  in
+  let count head key get = mean head key (fun s -> float_of_int (get s)) in
+  let points =
+    emit
+      (List.map run [ ("detection", `Detection); ("wound-wait", `Wound_wait) ])
+      [
+        str ~head:"policy" "policy" fst;
+        count "MU stmts" "mu_stmts" (fun s -> s.Native_sim.committed_stmts);
+        count "deadlocks" "deadlocks" (fun s -> s.Native_sim.deadlocks);
+        count "wounds" "wounds" (fun s -> s.Native_sim.wounds);
+        count "wasted stmts" "wasted_stmts" (fun s -> s.Native_sim.wasted_stmts);
+      ]
+  in
+  report ~seed:71 (by_window p) points
 
-(* ------------------------------------------------------------------ *)
-(* Chaos sweep: throughput and per-tier latency vs fault rate          *)
-(* ------------------------------------------------------------------ *)
+let history_pruning =
+  exp "pruning" "Ablation: history pruning on/off" @@ fun p ->
+  let run prune =
+    let cfg =
+      mw_cfg ~protocol:Builtin.ss2pl_sql ~trigger:(Trigger.Hybrid (0.01, 60))
+        ~clients:60 p
+    in
+    (prune, Middleware.run { cfg with Middleware.prune_history = prune })
+  in
+  let points =
+    emit
+      (List.map run [ true; false ])
+      [
+        flag ~head:"pruning" "prune_history" ("every cycle", "never") fst;
+        committed ~head:"committed txns" snd;
+        mean_cycle snd;
+      ]
+  in
+  report (by_duration p) points
 
-let faults_sweep ~duration ~json () =
-  section
+let faults_sweep =
+  exp "faults"
     "Chaos sweep: fault injection vs graceful degradation (bounded queue, \
      retries with backoff, dead-lettering). 'rate' scales every fault \
-     channel; per-tier p95 shows that shedding protects premium traffic.";
+     channel; per-tier p95 shows that shedding protects premium traffic."
+  @@ fun p ->
   let spec =
     {
-      Spec.paper_default with
-      Spec.n_objects = 20_000;
+      spec20k with
       sla_mix =
         [ (Ds_model.Sla.premium, 0.2); (Ds_model.Sla.standard, 0.5); (Ds_model.Sla.free, 0.3) ];
     }
   in
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-        ]
+  let run rate =
+    let plan =
+      {
+        Faults.none with
+        Faults.batch_fail_rate = rate;
+        stall_rate = rate /. 2.;
+        stall_duration = 0.05;
+        poison_rate = rate /. 20.;
+        disconnect_rate = rate /. 10.;
+      }
+    in
+    let cfg =
+      {
+        (mw_cfg ~trigger:(Trigger.Hybrid (0.01, 60)) ~spec ~clients:60 p) with
+        Middleware.extended_relations = true;
+        faults = plan;
+        max_retries = 4;
+        batch_timeout = Some 0.2;
+        queue_capacity = Some 40;
+        client_redo = true;
+        (* fault runs must be reproducible from the seed *)
+        charge_scheduler_time = false;
+      }
+    in
+    (cfg, Middleware.run cfg)
+  in
+  let count head key f = int ~head key (fun (_, s) -> f s) in
+  let p95 head key tier =
+    let get (_, s) =
+      List.find_map
+        (fun (t, _, p, _) -> if t = tier then Some p else None)
+        s.Middleware.latency_by_tier
+    in
+    col ~head key
+      (fun r -> Option.fold ~none:"-" ~some:(Printf.sprintf "%.3f") (get r))
+      (fun r -> Option.fold ~none:Json.Null ~some:(fun p -> Json.Num p) (get r))
+  in
+  let points =
+    emit
+      (List.map run [ 0.; 0.02; 0.05; 0.1; 0.2 ])
       [
-        "fault rate"; "committed"; "retries"; "shed"; "dead";
-        "p95 prem (s)"; "p95 std (s)"; "p95 free (s)";
+        float ~head:"fault rate" "fault_rate" "%.2f" (fun (cfg, _) ->
+            cfg.Middleware.faults.Faults.batch_fail_rate);
+        (* every record carries the knobs that reproduce it *)
+        int "workers" (fun ((cfg : Middleware.config), _) ->
+            cfg.Middleware.workers);
+        int "seed" (fun (cfg, _) -> cfg.Middleware.seed);
+        committed snd;
+        count "retries" "retries" (fun s -> s.Middleware.retries);
+        count "shed" "shed" (fun s -> s.Middleware.shed_txns);
+        count "dead" "dead" (fun s -> s.Middleware.dead_lettered);
+        p95 "p95 prem (s)" "p95_premium_s" Ds_model.Sla.Premium;
+        p95 "p95 std (s)" "p95_standard_s" Ds_model.Sla.Standard;
+        p95 "p95 free (s)" "p95_free_s" Ds_model.Sla.Free;
+        int "injected" (fun (_, s) -> s.Middleware.injected_failures);
       ]
   in
-  let points = ref [] in
-  List.iter
-    (fun rate ->
-      let plan =
-        {
-          Faults.none with
-          Faults.batch_fail_rate = rate;
-          stall_rate = rate /. 2.;
-          stall_duration = 0.05;
-          poison_rate = rate /. 20.;
-          disconnect_rate = rate /. 10.;
-        }
-      in
-      let cfg =
-        {
-          (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-             ~trigger:(Trigger.Hybrid (0.01, 60)) ~clients:60 ~duration ~spec)
-          with
-          Middleware.extended_relations = true;
-          faults = plan;
-          max_retries = 4;
-          batch_timeout = Some 0.2;
-          queue_capacity = Some 40;
-          client_redo = true;
-          (* fault runs must be reproducible from the seed *)
-          charge_scheduler_time = false;
-        }
-      in
-      let s = Middleware.run cfg in
-      points := (rate, cfg, s) :: !points;
-      let p95 tier =
-        match
-          List.find_opt (fun (t', _, _, _) -> t' = tier) s.Middleware.latency_by_tier
-        with
-        | Some (_, _, p, _) -> Printf.sprintf "%.3f" p
-        | None -> "-"
-      in
-      Tablefmt.add_row t
-        [
-          Printf.sprintf "%.2f" rate;
-          string_of_int s.Middleware.committed_txns;
-          string_of_int s.Middleware.retries;
-          string_of_int s.Middleware.shed_txns;
-          string_of_int s.Middleware.dead_lettered;
-          p95 Ds_model.Sla.Premium;
-          p95 Ds_model.Sla.Standard;
-          p95 Ds_model.Sla.Free;
-        ])
-    [ 0.; 0.02; 0.05; 0.1; 0.2 ];
-  Tablefmt.print t;
   note
     "Same seed, same plan => identical counters (deterministic chaos). At \
      high rates the retry ladder trades latency for completed transactions; \
      poison requests end in the dead-letter relation instead of wedging the \
      loop.";
-  match json with
-  | None -> ()
-  | Some path ->
-    let open Ds_obs.Json in
-    let payload =
-      Ds_dst.Stamp.add ~seed:Middleware.default_config.Middleware.seed
-        ~config:[ ("experiment", Str "faults"); ("duration", Num duration) ]
-    @@ Obj
-        [
-          ("experiment", Str "faults");
-          ("duration", Num duration);
-          ( "points",
-            List
-              (List.rev_map
-                 (fun (rate, (cfg : Middleware.config), (s : Middleware.stats)) ->
-                   Obj
-                     [
-                       ("fault_rate", Num rate);
-                       (* every record carries the knobs that reproduce it *)
-                       ("workers", Num (float_of_int cfg.Middleware.workers));
-                       ("seed", Num (float_of_int cfg.Middleware.seed));
-                       ("committed", Num (float_of_int s.Middleware.committed_txns));
-                       ("retries", Num (float_of_int s.Middleware.retries));
-                       ("shed", Num (float_of_int s.Middleware.shed_txns));
-                       ("dead", Num (float_of_int s.Middleware.dead_lettered));
-                       ("injected", Num (float_of_int s.Middleware.injected_failures));
-                     ])
-                 !points) );
-        ]
-    in
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (to_string payload);
-        output_char oc '\n');
-    note "wrote %s" path
+  report (by_duration p) points
 
-(* ------------------------------------------------------------------ *)
-(* Index maintenance scaling: incremental vs rebuild                  *)
-(* ------------------------------------------------------------------ *)
+(* Fresh requests submitted per cycle in the index experiment. *)
+let index_batch = 30
 
 (* Per-cycle protocol-query + move cost as history grows, with
    [Table.incremental_maintenance] on vs off. The rebuild baseline pays an
@@ -901,10 +897,12 @@ let faults_sweep ~duration ~json () =
    - [`Scan] (query bound): SS2PL's Listing 1 recomputes the lock tables
      from the full history every cycle, an O(|history|) floor no index can
      remove, so warm indexes only shave the rebuild share off the total. *)
-let index_scaling ~json ~history_sizes ~cycles ~batch () =
-  section
+let index_scaling =
+  exp "index"
     "Index maintenance: per-cycle protocol-query + move time vs history size \
-     (incremental vs invalidate-and-rebuild)";
+     (incremental vs invalidate-and-rebuild)"
+  @@ fun p ->
+  let cycles = p.cycles in
   let run_mode ~regime ~incremental ~history_size =
     let saved = !Ds_relal.Table.incremental_maintenance in
     Ds_relal.Table.incremental_maintenance := incremental;
@@ -931,7 +929,7 @@ let index_scaling ~json ~history_sizes ~cycles ~batch () =
     let time = ref 0. and index_time = ref 0. in
     let next_ta = ref (history_size + 1) in
     let one_cycle ~measure =
-      for _k = 1 to batch do
+      for _k = 1 to index_batch do
         let ta = !next_ta in
         incr next_ta;
         Scheduler.submit sched
@@ -969,48 +967,33 @@ let index_scaling ~json ~history_sizes ~cycles ~batch () =
     let per_cycle x = x /. float_of_int cycles in
     (per_cycle !time, per_cycle !index_time, List.rev !qualified)
   in
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Left; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Left;
-        ]
+  let point (regime, name) history_size =
+    let rebuild, _, rebuild_q =
+      run_mode ~regime ~incremental:false ~history_size
+    in
+    let incr, index, incr_q = run_mode ~regime ~incremental:true ~history_size in
+    (name, history_size, [| rebuild; incr; index |], rebuild_q = incr_q)
+  in
+  let ms head key i =
+    float ~head ~scale:1000. key "%.3f" (fun (_, _, t, _) -> t.(i))
+  in
+  let points =
+    emit
+      (List.concat_map
+         (fun regime -> List.map (point regime) p.history_sizes)
+         [ (`Churn, "churn (fcfs+prune)"); (`Scan, "scan (ss2pl-sql)") ])
       [
-        "regime"; "history"; "rebuild (ms)"; "incremental (ms)"; "index (ms)";
-        "speedup"; "identical";
+        str ~head:"regime" "regime" (fun (r, _, _, _) -> r);
+        int ~head:"history" "history" (fun (_, h, _, _) -> h);
+        ms "rebuild (ms)" "rebuild_s" 0;
+        ms "incremental (ms)" "incremental_s" 1;
+        ms "index (ms)" "index_s" 2;
+        float ~head:"speedup" "speedup" "%.1fx" (fun (_, _, t, _) ->
+            t.(0) /. Float.max 1e-9 t.(1));
+        flag ~head:"identical" "identical" ("true", "false") (fun (_, _, _, same) ->
+            same);
       ]
   in
-  let points = ref [] in
-  List.iter
-    (fun (regime, regime_name) ->
-      List.iter
-        (fun history_size ->
-          let rebuild_t, _, rebuild_q =
-            run_mode ~regime ~incremental:false ~history_size
-          in
-          let incr_t, incr_ix, incr_q =
-            run_mode ~regime ~incremental:true ~history_size
-          in
-          let identical = rebuild_q = incr_q in
-          let speedup = rebuild_t /. Float.max 1e-9 incr_t in
-          points :=
-            ( regime_name, history_size, rebuild_t, incr_t, incr_ix, speedup,
-              identical )
-            :: !points;
-          Tablefmt.add_row t
-            [
-              regime_name;
-              string_of_int history_size;
-              Printf.sprintf "%.3f" (1000. *. rebuild_t);
-              Printf.sprintf "%.3f" (1000. *. incr_t);
-              Printf.sprintf "%.3f" (1000. *. incr_ix);
-              Printf.sprintf "%.1fx" speedup;
-              string_of_bool identical;
-            ])
-        history_sizes)
-    [ (`Churn, "churn (fcfs+prune)"); (`Scan, "scan (ss2pl-sql)") ];
-  Tablefmt.print t;
   note
     "%d measured cycles, %d fresh transactions per cycle; 'identical' = both \
      modes admitted the same (TA, INTRATA) sequence; 'index' = incremental \
@@ -1018,61 +1001,18 @@ let index_scaling ~json ~history_sizes ~cycles ~batch () =
      scheduler write path (move + prune), where the rebuild baseline pays \
      O(|history|) per cycle; the scan regime includes Listing 1's inherent \
      full-history recomputation, which bounds the achievable speedup."
-    cycles batch;
-  match json with
-  | None -> ()
-  | Some path ->
-    let open Ds_obs.Json in
-    let payload =
-      Ds_dst.Stamp.add ~seed:0
-        ~config:
-          [
-            ("experiment", Str "index");
-            ("cycles", Num (float_of_int cycles));
-            ("batch", Num (float_of_int batch));
-          ]
-    @@ Obj
-        [
-          ("experiment", Str "index");
-          ("cycles", Num (float_of_int cycles));
-          ("batch", Num (float_of_int batch));
-          ( "points",
-            List
-              (List.rev_map
-                 (fun ( regime, h, rebuild_t, incr_t, incr_ix, speedup,
-                        identical ) ->
-                   Obj
-                     [
-                       ("regime", Str regime);
-                       ("history", Num (float_of_int h));
-                       ("rebuild_s", Num rebuild_t);
-                       ("incremental_s", Num incr_t);
-                       ("index_s", Num incr_ix);
-                       ("speedup", Num speedup);
-                       ("identical", Bool identical);
-                     ])
-                 !points) );
-        ]
-    in
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (to_string payload);
-        output_char oc '\n');
-    note "wrote %s" path
+    cycles index_batch;
+  report ~seed:0 [ ("cycles", num_i cycles); ("batch", num_i index_batch) ]
+    points
 
-(* ------------------------------------------------------------------ *)
-(* Observability overhead                                             *)
-(* ------------------------------------------------------------------ *)
-
-let obs_overhead ~duration () =
-  section
+let obs_overhead =
+  exp "obs"
     "Observability: tracing off vs on (same seed; lifecycle events + tier \
-     metrics)";
-  let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
+     metrics)"
+  @@ fun p ->
   let base =
     {
-      (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-         ~trigger:(Trigger.Hybrid (0.01, 60)) ~clients:60 ~duration ~spec)
-      with
+      (mw_cfg ~trigger:(Trigger.Hybrid (0.01, 60)) ~clients:60 p) with
       (* Wall-clock cycle charging is non-deterministic; the off/on stats
          comparison below needs bit-identical runs. *)
       Middleware.charge_scheduler_time = false;
@@ -1091,10 +1031,10 @@ let obs_overhead ~duration () =
         Middleware.run
           { base with Middleware.trace = Some tr; metrics = Some m })
   in
+  let overhead_pct = 100. *. (t_on -. t_off) /. Float.max 1e-9 t_off in
   note "tracing off: %.3fs wall" t_off;
   note "tracing on:  %.3fs wall  (%d events, %+.1f%% overhead)" t_on
-    (Ds_obs.Trace.count tr)
-    (100. *. (t_on -. t_off) /. Float.max 1e-9 t_off);
+    (Ds_obs.Trace.count tr) overhead_pct;
   (* [mean_cycle_time]/[p95_cycle_time]/[scheduler_time] are wall-clock
      measurements, never reproducible; everything else must be identical. *)
   let deterministic (s : Middleware.stats) =
@@ -1105,151 +1045,94 @@ let obs_overhead ~duration () =
       scheduler_time = 0.;
     }
   in
+  let identical = deterministic s_off = deterministic s_on in
   note "simulation stats identical under tracing: %b (no observer effect)"
-    (deterministic s_off = deterministic s_on);
-  List.iter
-    (fun (tier, n, p50, p95, p99) ->
-      note "  %-8s n=%d p50=%.3fs p95=%.3fs p99=%.3fs" tier n p50 p95 p99)
-    (Ds_obs.Metrics.tier_quantiles m);
-  (match Ds_obs.Span.validate (Ds_obs.Trace.events tr) with
-  | Ok () -> note "trace valid (%d transactions)"
-               (List.length (Ds_obs.Span.build (Ds_obs.Trace.events tr)))
-  | Error e -> note "TRACE INVALID: %s" e)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel backend scaling                                           *)
-(* ------------------------------------------------------------------ *)
-
-let parallel_scaling ~duration ~json () =
-  section
-    "Parallel backend: conflict-class execution across K workers \
-     (low-conflict workload; every schedule checker-validated)";
-  let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Left; Tablefmt.Left;
-        ]
+    identical;
+  let points =
+    emit
+      (Ds_obs.Metrics.tier_quantiles m)
       [
-        "workers"; "committed"; "makespan mean (ms)"; "p95 (ms)"; "speedup";
-        "mean util"; "checker"; "conflict-equivalent";
+        str ~head:"tier" "tier" (fun (t, _, _, _, _) -> t);
+        int ~head:"n" "n" (fun (_, n, _, _, _) -> n);
+        float ~head:"p50 (s)" "p50_s" "%.3f" (fun (_, _, q, _, _) -> q);
+        float ~head:"p95 (s)" "p95_s" "%.3f" (fun (_, _, _, q, _) -> q);
+        float ~head:"p99 (s)" "p99_s" "%.3f" (fun (_, _, _, _, q) -> q);
       ]
   in
-  let base_makespan = ref None in
-  let points = ref [] in
-  List.iter
-    (fun workers ->
-      let m = Ds_obs.Metrics.create () in
-      let s, h =
-        Middleware.run_sharded
-          {
-            (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-               ~trigger:(Trigger.Hybrid (0.01, 50))
-               ~clients:80 ~duration ~spec)
-            with
-            Middleware.workers;
-            metrics = Some m;
-            (* identical virtual-time behavior at every K: don't charge
-               wall-clock scheduler time *)
-            charge_scheduler_time = false;
-          }
-      in
-      let rte = h.Middleware.merged_rte in
-      (* The merged parallel schedule, reassembled from the declarative
-         assignment log (pos = delivery order). *)
-      let merged = Middleware.delivered h in
-      let report =
-        Ds_check.Serializability.check_committed
-          (Ds_check.Conflict_graph.events_of_requests rte)
-      in
-      let equiv =
-        Ds_check.Equivalence.check ~reference:rte ~candidate:merged ()
-      in
-      let makespan = s.Middleware.mean_batch_makespan in
-      if workers = 1 then base_makespan := Some makespan;
-      let speedup =
-        match !base_makespan with
-        | Some base when makespan > 0. -> base /. makespan
-        | _ -> 1.
-      in
-      let util =
-        match Ds_obs.Metrics.parallel m with
-        | Some p when p.Ds_obs.Metrics.per_worker <> [] ->
-          List.fold_left
-            (fun acc (w : Ds_obs.Metrics.worker_row) ->
-              acc +. w.Ds_obs.Metrics.utilization)
-            0. p.Ds_obs.Metrics.per_worker
-          /. float_of_int (List.length p.Ds_obs.Metrics.per_worker)
-        | _ -> 0.
-      in
-      let clean = Ds_check.Serializability.is_clean report in
-      let equivalent = Ds_check.Equivalence.is_equivalent equiv in
-      points :=
-        (workers, s.Middleware.committed_txns, makespan, speedup, util, clean,
-         equivalent)
-        :: !points;
-      Tablefmt.add_row t
-        [
-          string_of_int workers;
-          string_of_int s.Middleware.committed_txns;
-          Printf.sprintf "%.3f" (1000. *. makespan);
-          Printf.sprintf "%.3f" (1000. *. s.Middleware.p95_batch_makespan);
-          Printf.sprintf "%.2fx" speedup;
-          Printf.sprintf "%.3f" util;
-          (if clean then "clean" else "DIRTY");
-          (if equivalent then "yes" else "NO");
-        ])
-    [ 1; 2; 4; 8 ];
-  Tablefmt.print t;
+  let valid =
+    match Ds_obs.Span.validate (Ds_obs.Trace.events tr) with
+    | Ok () ->
+      note "trace valid (%d transactions)"
+        (List.length (Ds_obs.Span.build (Ds_obs.Trace.events tr)));
+      true
+    | Error e ->
+      note "TRACE INVALID: %s" e;
+      false
+  in
+  report (by_duration p) points
+    ~summary:
+      [
+        ("stats_identical", Json.Bool identical);
+        ("trace_valid", Json.Bool valid);
+        ("overhead_pct", Json.Num overhead_pct);
+      ]
+
+let parallel_scaling =
+  exp "parallel"
+    "Parallel backend: conflict-class execution across K workers \
+     (low-conflict workload; every schedule checker-validated)"
+  @@ fun p ->
+  let run workers =
+    let m = Ds_obs.Metrics.create () in
+    let s, h =
+      Middleware.run_sharded
+        {
+          (mw_cfg ~clients:80 p) with
+          Middleware.workers;
+          metrics = Some m;
+          (* identical virtual-time behavior at every K: don't charge
+             wall-clock scheduler time *)
+          charge_scheduler_time = false;
+        }
+    in
+    let util =
+      match Ds_obs.Metrics.parallel m with
+      | Some p when p.Ds_obs.Metrics.per_worker <> [] ->
+        List.fold_left
+          (fun acc (w : Ds_obs.Metrics.worker_row) ->
+            acc +. w.Ds_obs.Metrics.utilization)
+          0. p.Ds_obs.Metrics.per_worker
+        /. float_of_int (List.length p.Ds_obs.Metrics.per_worker)
+      | _ -> 0.
+    in
+    (workers, s, util, verdicts h)
+  in
+  let rows = List.map run [ 1; 2; 4; 8 ] in
+  let makespan (_, s, _, _) = s.Middleware.mean_batch_makespan in
+  let base = makespan (List.hd rows) in
+  let ms head key get = float ~head ~scale:1000. key "%.3f" get in
+  let points =
+    emit rows
+      ([
+         int ~head:"workers" "workers" (fun (k, _, _, _) -> k);
+         const "seed" (num_i mw_seed);
+         committed (fun (_, s, _, _) -> s);
+         ms "makespan mean (ms)" "makespan_s" makespan;
+         ms "p95 (ms)" "p95_makespan_s" (fun (_, s, _, _) ->
+             s.Middleware.p95_batch_makespan);
+         float ~head:"makespan ratio" "speedup" "%.2fx" (fun r ->
+             ratio base (makespan r));
+         float ~head:"mean util" "mean_utilization" "%.3f" (fun (_, _, u, _) -> u);
+       ]
+      @ verdict_cols (fun (_, _, _, v) -> v))
+  in
   note
-    "speedup = mean batch makespan at K=1 / at K; conflict classes of one \
-     batch run as overlapping spans, so makespan approaches the largest \
+    "makespan ratio = mean batch makespan at K=1 / at K; conflict classes of \
+     one batch run as overlapping spans, so makespan approaches the largest \
      class instead of the batch total. 'checker' validates the rte log \
      (serializability battery), 'conflict-equivalent' compares the merged \
      delivery order (assignment relation) against the admitted rte order.";
-  match json with
-  | None -> ()
-  | Some path ->
-    let open Ds_obs.Json in
-    let payload =
-      Ds_dst.Stamp.add ~seed:Middleware.default_config.Middleware.seed
-        ~config:[ ("experiment", Str "parallel"); ("duration", Num duration) ]
-    @@ Obj
-        [
-          ("experiment", Str "parallel");
-          ("duration", Num duration);
-          ( "points",
-            List
-              (List.rev_map
-                 (fun (k, committed, makespan, speedup, util, clean, equivalent)
-                    ->
-                   Obj
-                     [
-                       ("workers", Num (float_of_int k));
-                       ( "seed",
-                         Num
-                           (float_of_int
-                              Middleware.default_config.Middleware.seed) );
-                       ("committed", Num (float_of_int committed));
-                       ("makespan_s", Num makespan);
-                       ("speedup", Num speedup);
-                       ("mean_utilization", Num util);
-                       ("checker_clean", Bool clean);
-                       ("conflict_equivalent", Bool equivalent);
-                     ])
-                 !points) );
-        ]
-    in
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (to_string payload);
-        output_char oc '\n');
-    note "wrote %s" path
-
-(* ------------------------------------------------------------------ *)
-(* Sharded scheduler scaling                                          *)
-(* ------------------------------------------------------------------ *)
+  report (by_duration p) points
 
 (* The router sends a transaction to shard [obj mod S] when its footprint
    touches a single object group. Partitioned(8, esc) gives every
@@ -1261,24 +1144,16 @@ let parallel_scaling ~duration ~json () =
    shard-local). Scheduler cycle cost is superlinear
    in the live relation sizes (protocol queries join requests x history),
    so S lanes each holding ~1/S of the transactions do less total query
-   work — that is the speedup being measured, not parallel hardware. *)
-let shards_scaling ~duration ~json () =
-  section
-    "Sharded scheduler: S lanes + barrier-fenced global lane \
-     (partitioned workload; every point checker-validated)";
-  let spec =
-    {
-      Spec.paper_default with
-      Spec.n_objects = 20_000;
-      Spec.access = Spec.Partitioned (8, 0.005);
-    }
-  in
+   work — that is the ratio being measured, not parallel hardware. *)
+let shards_scaling =
+  exp "shards"
+    "Sharded scheduler: S lanes + barrier-fenced global lane (partitioned \
+     workload; every point checker-validated)"
+  @@ fun p ->
+  let spec = { spec20k with Spec.access = Spec.Partitioned (8, 0.005) } in
   let cfg shards =
     {
-      (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-         ~trigger:(Trigger.Hybrid (0.01, 50))
-         ~clients:80 ~duration ~spec)
-      with
+      (mw_cfg ~spec ~clients:80 p) with
       Middleware.shards;
       (* identical virtual-time behavior at every S: don't charge
          wall-clock scheduler time *)
@@ -1296,116 +1171,41 @@ let shards_scaling ~duration ~json () =
     && Relations.execution_order rels = h.Middleware.merged_execution_order
   in
   note "S=1 bit-identical to the unsharded scheduler: %b" s1_identical;
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Left;
-          Tablefmt.Left;
-        ]
-      [
-        "shards"; "committed"; "cycles"; "global txns"; "deferrals";
-        "sched time (s)"; "speedup"; "checker"; "conflict-equivalent";
-      ]
+  let run shards =
+    let s, h = Middleware.run_sharded (cfg shards) in
+    (shards, s, verdicts ~shards h)
   in
-  let base_time = ref None in
-  let points = ref [] in
-  List.iter
-    (fun shards ->
-      let s, h = Middleware.run_sharded (cfg shards) in
-      let rte = h.Middleware.merged_rte in
-      let merged = Middleware.delivered h in
-      let report =
-        Ds_check.Serializability.check_committed
-          (Ds_check.Conflict_graph.events_of_requests rte)
-      in
-      let equiv =
-        if shards > 1 then
-          Ds_check.Equivalence.check_sharded ~shards
-            ~shard_of:h.Middleware.shard_of ~reference:rte ~candidate:merged
-            ()
-        else Ds_check.Equivalence.check ~reference:rte ~candidate:merged ()
-      in
-      let sched_time = s.Middleware.scheduler_time in
-      if shards = 1 then base_time := Some sched_time;
-      let speedup =
-        match !base_time with
-        | Some base when sched_time > 0. -> base /. sched_time
-        | _ -> 1.
-      in
-      let clean = Ds_check.Serializability.is_clean report in
-      let equivalent = Ds_check.Equivalence.is_equivalent equiv in
-      points :=
-        (shards, s.Middleware.committed_txns, s.Middleware.cycles,
-         s.Middleware.global_lane_txns, s.Middleware.shard_deferrals,
-         sched_time, speedup, clean, equivalent)
-        :: !points;
-      Tablefmt.add_row t
-        [
-          string_of_int shards;
-          string_of_int s.Middleware.committed_txns;
-          string_of_int s.Middleware.cycles;
-          string_of_int s.Middleware.global_lane_txns;
-          string_of_int s.Middleware.shard_deferrals;
-          Printf.sprintf "%.3f" sched_time;
-          Printf.sprintf "%.2fx" speedup;
-          (if clean then "clean" else "DIRTY");
-          (if equivalent then "yes" else "NO");
-        ])
-    [ 1; 2; 4; 8 ];
-  Tablefmt.print t;
+  let rows = List.map run [ 1; 2; 4; 8 ] in
+  let sched_time (_, s, _) = s.Middleware.scheduler_time in
+  let base = sched_time (List.hd rows) in
+  let count head key f = int ~head key (fun (_, s, _) -> f s) in
+  let points =
+    emit rows
+      ([
+         int ~head:"shards" "shards" (fun (n, _, _) -> n);
+         const "seed" (num_i mw_seed);
+         committed (fun (_, s, _) -> s);
+         count "cycles" "cycles" (fun s -> s.Middleware.cycles);
+         count "global txns" "global_lane_txns" (fun s ->
+             s.Middleware.global_lane_txns);
+         count "deferrals" "shard_deferrals" (fun s ->
+             s.Middleware.shard_deferrals);
+         float ~head:"sched time (s)" "scheduler_time_s" "%.3f" sched_time;
+         float ~head:"sched-time ratio" "speedup" "%.2fx" (fun r ->
+             ratio base (sched_time r));
+       ]
+      @ verdict_cols (fun (_, _, v) -> v))
+  in
   note
-    "speedup = total scheduler wall time at S=1 / at S (virtual-time \
-     behavior held fixed). 'global txns' crossed shard boundaries and ran \
-     on the barrier-fenced global lane; 'deferrals' are admissions parked \
-     while the barrier drained. 'checker' validates the stamp-merged rte \
-     (serializability battery); 'conflict-equivalent' additionally checks \
-     router soundness — no conflicting pair split across shard lanes.";
-  match json with
-  | None -> ()
-  | Some path ->
-    let open Ds_obs.Json in
-    let payload =
-      Ds_dst.Stamp.add ~seed:Middleware.default_config.Middleware.seed
-        ~config:[ ("experiment", Str "shards"); ("duration", Num duration) ]
-      @@ Obj
-          [
-            ("experiment", Str "shards");
-            ("duration", Num duration);
-            ("s1_bit_identical", Bool s1_identical);
-            ( "points",
-              List
-                (List.rev_map
-                   (fun (shards, committed, cycles, global_txns, deferrals,
-                         sched_time, speedup, clean, equivalent) ->
-                     Obj
-                       [
-                         ("shards", Num (float_of_int shards));
-                         ( "seed",
-                           Num
-                             (float_of_int
-                                Middleware.default_config.Middleware.seed) );
-                         ("committed", Num (float_of_int committed));
-                         ("cycles", Num (float_of_int cycles));
-                         ("global_lane_txns", Num (float_of_int global_txns));
-                         ("shard_deferrals", Num (float_of_int deferrals));
-                         ("scheduler_time_s", Num sched_time);
-                         ("speedup", Num speedup);
-                         ("checker_clean", Bool clean);
-                         ("conflict_equivalent", Bool equivalent);
-                       ])
-                   !points) );
-          ]
-    in
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (to_string payload);
-        output_char oc '\n');
-    note "wrote %s" path
-
-(* ------------------------------------------------------------------ *)
-(* Recovery: checkpointed replay vs journal length                    *)
-(* ------------------------------------------------------------------ *)
+    "sched-time ratio = total scheduler wall time at S=1 / at S \
+     (virtual-time behavior held fixed). 'global txns' crossed shard \
+     boundaries and ran on the barrier-fenced global lane; 'deferrals' are \
+     admissions parked while the barrier drained. 'checker' validates the \
+     stamp-merged rte (serializability battery); 'conflict-equivalent' \
+     additionally checks router soundness — no conflicting pair split \
+     across shard lanes.";
+  report (by_duration p) points
+    ~summary:[ ("s1_bit_identical", Json.Bool s1_identical) ]
 
 (* Two sweeps.
 
@@ -1421,267 +1221,164 @@ let shards_scaling ~duration ~json () =
    crashes mid-flight (with worker faults keeping the supervisor busy)
    recovers from its journal, and the stats report how many lines the
    checkpoint let recovery skip and how long the recovery took. *)
-let recovery_bench ~duration ~json () =
-  section
-    "Recovery: checkpointed replay vs journal length (synthetic journals + \
-     a crashing middleware run)";
-  let points = ref [] in
-  let with_temp_journal f =
-    let path = Filename.temp_file "ds_bench" ".journal" in
-    Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () -> f path)
+let recovery_bench =
+  exp "recovery"
+    "Recovery: checkpointed replay vs journal length (synthetic journals + a \
+     crashing middleware run)"
+  @@ fun p ->
+  let ckpt get =
+    col ~head:"ckpt every" "checkpoint_interval"
+      (fun r -> match get r with 0 -> "-" | i -> string_of_int i)
+      (fun r -> num_i (get r))
   in
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right;
-        ]
+  let synthetic events checkpoint_every =
+    with_temp_journal @@ fun path ->
+    let journal = Journal.open_ path in
+    let sched = Scheduler.create ~journal ?checkpoint_every Builtin.fcfs in
+    let id = ref 0 and ta = ref 0 in
+    while !id < events do
+      for _ = 1 to 8 do
+        incr ta;
+        incr id;
+        Scheduler.submit sched
+          (Ds_model.Request.make ~id:!id ~ta:!ta ~intrata:1
+             ~op:Ds_model.Op.Write ~obj:(!ta mod 512) ());
+        incr id;
+        Scheduler.submit sched
+          (Ds_model.Request.make ~id:!id ~ta:!ta ~intrata:2
+             ~op:Ds_model.Op.Commit ())
+      done;
+      ignore (Scheduler.cycle sched)
+    done;
+    Journal.close journal;
+    let lines =
+      In_channel.with_open_bin path (fun ic ->
+          let n = ref 0 in
+          String.iter
+            (fun c -> if c = '\n' then incr n)
+            (In_channel.input_all ic);
+          !n)
+    in
+    (* median-ish of 3: recover is fast, wall time is noisy *)
+    let times =
+      List.init 3 (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          ignore (Journal.recover path);
+          Unix.gettimeofday () -. t0)
+    in
+    let recover_s = List.nth (List.sort compare times) 1 in
+    let interval = Option.value ~default:0 checkpoint_every in
+    ((events, interval, lines), recover_s, Journal.recover path)
+  in
+  let synthetic_points =
+    emit
+      (List.concat_map
+         (fun events -> List.map (synthetic events) [ None; Some 100 ])
+         [ 2_000; 8_000; 32_000 ])
       [
-        "events"; "ckpt every"; "journal lines"; "recover (ms)"; "replayed";
-        "skipped";
+        const "mode" (Json.Str "synthetic");
+        const "workers" (Json.Num 1.);
+        const "seed" (Json.Num 0.);
+        int ~head:"events" "events" (fun ((e, _, _), _, _) -> e);
+        ckpt (fun ((_, i, _), _, _) -> i);
+        int ~head:"journal lines" "journal_lines" (fun ((_, _, l), _, _) -> l);
+        float ~head:"recover (ms)" "recover_ms" "%.3f" (fun (_, t, _) ->
+            1000. *. t);
+        int ~head:"replayed" "replayed" (fun (_, _, r) -> r.Journal.replayed);
+        int ~head:"skipped" "skipped" (fun (_, _, r) -> r.Journal.skipped);
       ]
   in
-  List.iter
-    (fun events ->
-      List.iter
-        (fun checkpoint_every ->
-          with_temp_journal (fun path ->
-              let journal = Journal.open_ path in
-              let sched =
-                Scheduler.create ~journal ?checkpoint_every Builtin.fcfs
-              in
-              let id = ref 0 and ta = ref 0 in
-              while !id < events do
-                for _ = 1 to 8 do
-                  incr ta;
-                  incr id;
-                  Scheduler.submit sched
-                    (Ds_model.Request.make ~id:!id ~ta:!ta ~intrata:1
-                       ~op:Ds_model.Op.Write ~obj:(!ta mod 512) ());
-                  incr id;
-                  Scheduler.submit sched
-                    (Ds_model.Request.make ~id:!id ~ta:!ta ~intrata:2
-                       ~op:Ds_model.Op.Commit ())
-                done;
-                ignore (Scheduler.cycle sched)
-              done;
-              Journal.close journal;
-              let lines =
-                In_channel.with_open_bin path (fun ic ->
-                    let n = ref 0 in
-                    String.iter
-                      (fun c -> if c = '\n' then incr n)
-                      (In_channel.input_all ic);
-                    !n)
-              in
-              (* median-ish of 3: recover is fast, wall time is noisy *)
-              let times =
-                List.init 3 (fun _ ->
-                    let t0 = Unix.gettimeofday () in
-                    ignore (Journal.recover path);
-                    Unix.gettimeofday () -. t0)
-              in
-              let recover_s = List.nth (List.sort compare times) 1 in
-              let r = Journal.recover path in
-              let interval = Option.value ~default:0 checkpoint_every in
-              points :=
-                `Synthetic
-                  (events, interval, lines, recover_s, r.Journal.replayed,
-                   r.Journal.skipped)
-                :: !points;
-              Tablefmt.add_row t
-                [
-                  string_of_int events;
-                  (if interval = 0 then "-" else string_of_int interval);
-                  string_of_int lines;
-                  Printf.sprintf "%.3f" (1000. *. recover_s);
-                  string_of_int r.Journal.replayed;
-                  string_of_int r.Journal.skipped;
-                ]))
-        [ None; Some 100 ])
-    [ 2_000; 8_000; 32_000 ];
-  Tablefmt.print t;
   note
     "Churn workload, history pruned every cycle, so checkpoints snapshot \
      only live transactions: with the interval fixed, recover time and \
      'replayed' stay flat while the journal grows — the no-checkpoint rows \
      replay everything and scale with journal length.";
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-        ]
+  let crashing (wcrash, checkpoint_interval) =
+    with_temp_journal @@ fun path ->
+    let cfg =
+      {
+        (mw_cfg ~clients:60 p) with
+        Middleware.workers = 4;
+        journal_path = Some path;
+        checkpoint_interval;
+        faults =
+          {
+            Faults.none with
+            Faults.crash_at_cycle = Some 40;
+            worker_crash_rate = wcrash;
+            worker_stall_rate = wcrash /. 2.;
+            worker_stall_duration = 0.02;
+          };
+        charge_scheduler_time = false;
+      }
+    in
+    (cfg, Middleware.run cfg)
+  in
+  let count ?head key f = int ?head key (fun (_, s) -> f s) in
+  let middleware_points =
+    emit
+      (List.map crashing [ (0., None); (0., Some 10); (0.2, None); (0.2, Some 10) ])
       [
-        "wcrash"; "ckpt every"; "committed"; "recovery (ms)"; "replayed";
-        "skipped"; "reassigned";
+        const "mode" (Json.Str "middleware");
+        int "workers" (fun ((cfg : Middleware.config), _) ->
+            cfg.Middleware.workers);
+        int "seed" (fun (cfg, _) -> cfg.Middleware.seed);
+        float ~head:"wcrash" "wcrash" "%.2f" (fun (cfg, _) ->
+            cfg.Middleware.faults.Faults.worker_crash_rate);
+        ckpt (fun (cfg, _) ->
+            Option.value ~default:0 cfg.Middleware.checkpoint_interval);
+        committed snd;
+        float ~head:"recovery (ms)" "recovery_ms" "%.3f" (fun (_, s) ->
+            1000. *. s.Middleware.recovery_time);
+        count ~head:"replayed" "replayed" (fun s -> s.Middleware.recovery_replayed);
+        count ~head:"skipped" "skipped" (fun s -> s.Middleware.recovery_skipped);
+        count ~head:"reassigned" "reassigned" (fun s ->
+            s.Middleware.reassigned_classes);
+        count "checkpoints" (fun s -> s.Middleware.checkpoints);
       ]
   in
-  let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-  List.iter
-    (fun (wcrash, checkpoint_interval) ->
-      with_temp_journal (fun path ->
-          let cfg =
-            {
-              (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-                 ~trigger:(Trigger.Hybrid (0.01, 50))
-                 ~clients:60 ~duration ~spec)
-              with
-              Middleware.workers = 4;
-              journal_path = Some path;
-              checkpoint_interval;
-              faults =
-                {
-                  Faults.none with
-                  Faults.crash_at_cycle = Some 40;
-                  worker_crash_rate = wcrash;
-                  worker_stall_rate = wcrash /. 2.;
-                  worker_stall_duration = 0.02;
-                };
-              charge_scheduler_time = false;
-            }
-          in
-          let s = Middleware.run cfg in
-          let interval = Option.value ~default:0 checkpoint_interval in
-          points :=
-            `Middleware
-              (cfg.Middleware.workers, cfg.Middleware.seed, wcrash, interval, s)
-            :: !points;
-          Tablefmt.add_row t
-            [
-              Printf.sprintf "%.2f" wcrash;
-              (if interval = 0 then "-" else string_of_int interval);
-              string_of_int s.Middleware.committed_txns;
-              Printf.sprintf "%.3f" (1000. *. s.Middleware.recovery_time);
-              string_of_int s.Middleware.recovery_replayed;
-              string_of_int s.Middleware.recovery_skipped;
-              string_of_int s.Middleware.reassigned_classes;
-            ]))
-    [ (0., None); (0., Some 10); (0.2, None); (0.2, Some 10) ];
-  Tablefmt.print t;
   note
     "Same seed and fault plan per pair of rows; the checkpointed run \
      replays only the journal suffix after the crash at cycle 40 while the \
      supervisor keeps reassigning classes from crashed workers.";
-  match json with
-  | None -> ()
-  | Some path ->
-    let open Ds_obs.Json in
-    let payload =
-      Ds_dst.Stamp.add ~seed:Middleware.default_config.Middleware.seed
-        ~config:[ ("experiment", Str "recovery"); ("duration", Num duration) ]
-    @@ Obj
-        [
-          ("experiment", Str "recovery");
-          ("duration", Num duration);
-          ( "points",
-            List
-              (List.rev_map
-                 (function
-                   | `Synthetic (events, interval, lines, recover_s, replayed,
-                                 skipped) ->
-                     Obj
-                       [
-                         ("mode", Str "synthetic");
-                         ("workers", Num 1.);
-                         ("seed", Num 0.);
-                         ("events", Num (float_of_int events));
-                         ("checkpoint_interval", Num (float_of_int interval));
-                         ("journal_lines", Num (float_of_int lines));
-                         ("recover_ms", Num (1000. *. recover_s));
-                         ("replayed", Num (float_of_int replayed));
-                         ("skipped", Num (float_of_int skipped));
-                       ]
-                   | `Middleware (workers, seed, wcrash, interval, s) ->
-                     Obj
-                       [
-                         ("mode", Str "middleware");
-                         ("workers", Num (float_of_int workers));
-                         ("seed", Num (float_of_int seed));
-                         ("wcrash", Num wcrash);
-                         ("checkpoint_interval", Num (float_of_int interval));
-                         ( "committed",
-                           Num (float_of_int s.Middleware.committed_txns) );
-                         ("recovery_ms", Num (1000. *. s.Middleware.recovery_time));
-                         ( "replayed",
-                           Num (float_of_int s.Middleware.recovery_replayed) );
-                         ( "skipped",
-                           Num (float_of_int s.Middleware.recovery_skipped) );
-                         ( "reassigned",
-                           Num (float_of_int s.Middleware.reassigned_classes) );
-                         ( "checkpoints",
-                           Num (float_of_int s.Middleware.checkpoints) );
-                       ])
-                 !points) );
-        ]
-    in
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (to_string payload);
-        output_char oc '\n');
-    note "wrote %s" path
+  report (by_duration p) (synthetic_points @ middleware_points)
 
-(* ------------------------------------------------------------------ *)
-(* Swarm: simulation-testing throughput                               *)
-(* ------------------------------------------------------------------ *)
+(* Sweep base seed for the swarm experiment. *)
+let swarm_seed = 42
 
 (* How fast the DST harness burns through scenarios: N generated scenarios
    through the full middleware + journal + invariant battery, reported as
    scenarios/second and invariant verdict counts. The verdicts themselves
    are deterministic in (n, seed); only the timing is wall-clock. *)
-let swarm_bench ~n ~seed ~json () =
-  section "Swarm: deterministic-simulation scenarios through the full stack";
+let swarm_bench =
+  exp "swarm" "Swarm: deterministic-simulation scenarios through the full stack"
+  @@ fun p ->
+  let n = p.swarm_n in
   let t0 = Unix.gettimeofday () in
-  let report = Ds_dst.Swarm.run ~shrink:true ~n ~seed () in
+  let swarm = Ds_dst.Swarm.run ~shrink:true ~n ~seed:swarm_seed () in
   let elapsed = Unix.gettimeofday () -. t0 in
-  let failed = List.length (Ds_dst.Swarm.failed report) in
-  let checks = n * List.length Ds_dst.Invariant.names in
-  let t =
-    Tablefmt.create
-      ~aligns:[ Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-      [ "scenarios"; "failed"; "invariant checks"; "elapsed (s)"; "scen/s" ]
-  in
-  Tablefmt.add_row t
+  let failed = List.length (Ds_dst.Swarm.failed swarm) in
+  let cols =
     [
-      string_of_int n;
-      string_of_int failed;
-      string_of_int checks;
-      Printf.sprintf "%.2f" elapsed;
-      Printf.sprintf "%.1f" (float_of_int n /. elapsed);
-    ];
-  Tablefmt.print t;
+      int ~head:"scenarios" "scenarios" (fun () -> n);
+      int ~head:"failed" "failed" (fun () -> failed);
+      int ~head:"invariant checks" "invariant_checks" (fun () ->
+          n * List.length Ds_dst.Invariant.names);
+      float ~head:"elapsed (s)" "elapsed_s" "%.2f" (fun () -> elapsed);
+      float ~head:"scen/s" "scenarios_per_s" "%.1f" (fun () ->
+          float_of_int n /. elapsed);
+    ]
+  in
+  let points = emit [ () ] cols in
   note
     "Every scenario runs the real middleware/scheduler/worker-pool/journal \
      stack and the complete battery (%s); failures would be shrunk to \
      minimal repros. Verdicts are a pure function of (n, seed)."
     (String.concat ", " Ds_dst.Invariant.names);
-  match json with
-  | None -> ()
-  | Some path ->
-    let open Ds_obs.Json in
-    let payload =
-      Ds_dst.Stamp.add ~seed
-        ~config:[ ("experiment", Str "swarm"); ("n", Num (float_of_int n)) ]
-        (Obj
-           [
-             ("experiment", Str "swarm");
-             ("scenarios", Num (float_of_int n));
-             ("failed", Num (float_of_int failed));
-             ("invariant_checks", Num (float_of_int checks));
-             ("elapsed_s", Num elapsed);
-             ("scenarios_per_s", Num (float_of_int n /. elapsed));
-           ])
-    in
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (to_string payload);
-        output_char oc '\n');
-    note "wrote %s" path
+  report ~seed:swarm_seed [ ("n", num_i n) ] points ~summary:(fields cols ())
 
-(* ------------------------------------------------------------------ *)
-(* Failover: hot-standby replication under link faults                *)
-(* ------------------------------------------------------------------ *)
+(* Seed of every failover run's replication link. *)
+let failover_seed = 42
 
 (* {async, sync} x {clean, lossy, partition} link, each run killed by a
    permanent primary crash (pcrash) mid-flight and failed over to the hot
@@ -1691,12 +1388,14 @@ let swarm_bench ~n ~seed ~json () =
    sync mode must lose none, async mode may lose only records above the
    standby's watermark (the lag window). 'fenced' counts the old primary's
    stragglers the promoted standby refused by stale epoch. *)
-let failover_bench ~duration ~json () =
-  section
-    "Failover: hot-standby promotion under replication-link faults \
-     (pcrash at cycle 150; durability checked per point)";
+let failover_bench =
+  exp "failover"
+    "Failover: hot-standby promotion under replication-link faults (pcrash \
+     at cycle 150; durability checked per point)"
+  @@ fun p ->
   let module Link = Ds_replica.Link in
   let module Session = Ds_replica.Session in
+  let module E = Ds_check.Equivalence in
   let links =
     [
       ("clean", Link.none);
@@ -1711,277 +1410,177 @@ let failover_bench ~duration ~json () =
         { Link.none with Link.drop_rate = 0.02; partition_at = Some 0.9; partition_for = 0.8 } );
     ]
   in
-  let t =
-    Tablefmt.create
-      ~aligns:
-        [
-          Tablefmt.Left; Tablefmt.Left; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-          Tablefmt.Right; Tablefmt.Left;
-        ]
+  let run mode (link, plan) =
+    let dir = Filename.temp_file "ds_bench_repl" "" in
+    Sys.remove dir;
+    with_temp_journal @@ fun journal ->
+    Fun.protect ~finally:(fun () ->
+        List.iter
+          (fun p -> try Sys.remove p with Sys_error _ -> ())
+          [ Session.standby_path_of dir; Filename.concat dir "REPL" ];
+        try Sys.rmdir dir with Sys_error _ -> ())
+    @@ fun () ->
+    let trace = Ds_obs.Trace.create () in
+    let session = Session.create ~mode ~plan ~seed:failover_seed ~trace ~dir () in
+    let cfg =
+      {
+        (mw_cfg ~clients:30 p) with
+        Middleware.journal_path = Some journal;
+        checkpoint_interval = Some 10;
+        (* late enough that a meaningful set of transactions has been
+           acked to clients before the primary dies *)
+        faults = { Faults.none with Faults.pcrash_at_cycle = Some 150 };
+        client_redo = true;
+        repl = Some (Session.hooks session);
+        trace = Some trace;
+        charge_scheduler_time = false;
+      }
+    in
+    let s = Middleware.run cfg in
+    Session.close session;
+    let r =
+      Ds_dst.Runner.failover_report session
+        ~trace_events:(Ds_obs.Trace.events trace)
+    in
+    (mode, link, s, session, r, E.failover_ok r)
+  in
+  let rows =
+    List.concat_map
+      (fun mode -> List.map (run mode) links)
+      [ Session.Async; Session.Sync ]
+  in
+  let session ?head key f = int ?head key (fun (_, _, _, se, _, _) -> f se) in
+  let audit ?head key f = int ?head key (fun (_, _, _, _, r, _) -> f r) in
+  let points =
+    emit rows
       [
-        "mode"; "link"; "committed"; "acked@crash"; "lost<=wm"; "lost>wm";
-        "watermark"; "fenced"; "diverg"; "durability";
+        str ~head:"mode" "mode" (fun (m, _, _, _, _, _) -> Session.mode_to_string m);
+        str ~head:"link" "link" (fun (_, l, _, _, _, _) -> l);
+        const "seed" (num_i failover_seed);
+        committed (fun (_, _, s, _, _, _) -> s);
+        int "failovers" (fun (_, _, s, _, _, _) -> s.Middleware.failovers);
+        session "epoch" Session.epoch;
+        audit ~head:"acked@crash" "acked_at_crash" (fun r -> r.E.acked);
+        audit ~head:"lost<=wm" "lost_below_watermark" (fun r ->
+            List.length r.E.lost_below_watermark);
+        audit ~head:"lost>wm" "lost_above_watermark" (fun r ->
+            List.length r.E.lost_above_watermark);
+        session ~head:"watermark" "watermark" Session.watermark;
+        session ~head:"fenced" "fenced" Session.fenced;
+        session ~head:"diverg" "divergences" Session.divergences;
+        flag ~head:"durability" "durability_ok" ("ok", "VIOLATION")
+          (fun (_, _, _, _, _, ok) -> ok);
       ]
   in
-  let points = ref [] in
-  List.iter
-    (fun mode ->
-      List.iter
-        (fun (link_name, plan) ->
-          let dir = Filename.temp_file "ds_bench_repl" "" in
-          Sys.remove dir;
-          let journal = Filename.temp_file "ds_bench" ".journal" in
-          Fun.protect ~finally:(fun () ->
-              List.iter
-                (fun p -> try Sys.remove p with Sys_error _ -> ())
-                [
-                  journal;
-                  Session.standby_path_of dir;
-                  Filename.concat dir "REPL";
-                ];
-              try Sys.rmdir dir with Sys_error _ -> ())
-          @@ fun () ->
-          let trace = Ds_obs.Trace.create () in
-          let session =
-            Session.create ~mode ~plan ~seed:42 ~trace ~dir ()
-          in
-          let spec = { Spec.paper_default with Spec.n_objects = 20_000 } in
-          let cfg =
-            {
-              (middleware_cfg ~protocol:Builtin.ss2pl_ocaml
-                 ~trigger:(Trigger.Hybrid (0.01, 50))
-                 ~clients:30 ~duration ~spec)
-              with
-              Middleware.journal_path = Some journal;
-              checkpoint_interval = Some 10;
-              (* late enough that a meaningful set of transactions has been
-                 acked to clients before the primary dies *)
-              faults = { Faults.none with Faults.pcrash_at_cycle = Some 150 };
-              client_redo = true;
-              repl = Some (Session.hooks session);
-              trace = Some trace;
-              charge_scheduler_time = false;
-            }
-          in
-          let s = Middleware.run cfg in
-          Session.close session;
-          let report =
-            Ds_dst.Runner.failover_report session
-              ~trace_events:(Ds_obs.Trace.events trace)
-          in
-          let ok = Ds_check.Equivalence.failover_ok report in
-          points :=
-            (mode, link_name, s, session, report, ok) :: !points;
-          Tablefmt.add_row t
-            [
-              Session.mode_to_string mode;
-              link_name;
-              string_of_int s.Middleware.committed_txns;
-              string_of_int report.Ds_check.Equivalence.acked;
-              string_of_int
-                (List.length report.Ds_check.Equivalence.lost_below_watermark);
-              string_of_int
-                (List.length report.Ds_check.Equivalence.lost_above_watermark);
-              string_of_int (Session.watermark session);
-              string_of_int (Session.fenced session);
-              string_of_int (Session.divergences session);
-              (if ok then "ok" else "VIOLATION");
-            ])
-        links)
-    [ Session.Async; Session.Sync ];
-  Tablefmt.print t;
   let sync_zero_loss =
     List.for_all
-      (fun (mode, _, _, _, (r : Ds_check.Equivalence.failover_report), ok) ->
+      (fun (mode, _, _, _, r, ok) ->
         match mode with
-        | Session.Sync ->
-          ok && r.Ds_check.Equivalence.lost_above_watermark = []
+        | Session.Sync -> ok && r.E.lost_above_watermark = []
         | Session.Async -> true)
-      !points
+      rows
   in
   let async_loss_bounded =
     List.for_all
-      (fun (mode, _, _, _, (r : Ds_check.Equivalence.failover_report), _) ->
+      (fun (mode, _, _, _, r, _) ->
         match mode with
-        | Session.Async -> r.Ds_check.Equivalence.lost_below_watermark = []
+        | Session.Async -> r.E.lost_below_watermark = []
         | Session.Sync -> true)
-      !points
+      rows
   in
   let fenced_witnessed =
-    List.exists
-      (fun (_, _, _, session, _, _) -> Session.fenced session > 0)
-      !points
+    List.exists (fun (_, _, _, se, _, _) -> Session.fenced se > 0) rows
   in
   note
     "sync zero-loss: %b; async loss bounded by watermark: %b; stale-epoch \
      fencing witnessed: %b; every run failed over exactly once (epoch 0 -> 1)."
     sync_zero_loss async_loss_bounded fenced_witnessed;
-  match json with
-  | None -> ()
-  | Some path ->
-    let open Ds_obs.Json in
-    let payload =
-      Ds_dst.Stamp.add ~seed:42
-        ~config:[ ("experiment", Str "failover"); ("duration", Num duration) ]
-    @@ Obj
-        [
-          ("experiment", Str "failover");
-          ("duration", Num duration);
-          ("sync_zero_loss", Bool sync_zero_loss);
-          ("async_loss_bounded", Bool async_loss_bounded);
-          ("fenced_witnessed", Bool fenced_witnessed);
-          ( "points",
-            List
-              (List.rev_map
-                 (fun ( mode, link_name, (s : Middleware.stats), session,
-                        (r : Ds_check.Equivalence.failover_report), ok ) ->
-                   Obj
-                     [
-                       ("mode", Str (Session.mode_to_string mode));
-                       ("link", Str link_name);
-                       ("seed", Num 42.);
-                       ("committed", Num (float_of_int s.Middleware.committed_txns));
-                       ("failovers", Num (float_of_int s.Middleware.failovers));
-                       ("epoch", Num (float_of_int (Session.epoch session)));
-                       ("watermark", Num (float_of_int (Session.watermark session)));
-                       ("acked_at_crash", Num (float_of_int r.Ds_check.Equivalence.acked));
-                       ( "lost_below_watermark",
-                         Num
-                           (float_of_int
-                              (List.length
-                                 r.Ds_check.Equivalence.lost_below_watermark)) );
-                       ( "lost_above_watermark",
-                         Num
-                           (float_of_int
-                              (List.length
-                                 r.Ds_check.Equivalence.lost_above_watermark)) );
-                       ("fenced", Num (float_of_int (Session.fenced session)));
-                       ( "divergences",
-                         Num (float_of_int (Session.divergences session)) );
-                       ("durability_ok", Bool ok);
-                     ])
-                 !points) );
-        ]
-    in
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (to_string payload);
-        output_char oc '\n');
-    note "wrote %s" path
+  report ~seed:failover_seed (by_duration p) points
+    ~summary:
+      [
+        ("sync_zero_loss", Json.Bool sync_zero_loss);
+        ("async_loss_bounded", Json.Bool async_loss_bounded);
+        ("fenced_witnessed", Json.Bool fenced_witnessed);
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let default_history_sizes = [ 1_000; 5_000; 10_000; 20_000 ]
+(* The one experiment list: [all], the dispatch, [list] and the CLI doc
+   all read it, in this order. *)
+let experiments =
+  [
+    table1; table2; figure2; native_overhead; declarative_overhead; crossover;
+    listing1_micro; succinctness; datalog_vs_sql; optimizer_ablation;
+    index_scaling; trigger_policies; relaxed_consistency; batch_sweep;
+    open_loop; mpl_ablation; deadlock_policy_ablation; history_pruning;
+    faults_sweep; obs_overhead; parallel_scaling; shards_scaling;
+    recovery_bench; failover_bench; swarm_bench;
+  ]
 
-let all_experiments ~window ~runs ~duration ~cycle_scale ~json () =
-  table1 ();
-  table2 ();
-  figure2 ~window ~runs ();
-  native_overhead ~window ~runs ();
-  declarative_overhead ~runs ();
-  crossover ~window ~runs ~cycle_scale ();
-  succinctness ();
-  datalog_vs_sql ~runs ();
-  optimizer_ablation ~runs ();
-  index_scaling ~json ~history_sizes:default_history_sizes ~cycles:30
-    ~batch:30 ();
-  trigger_policies ~duration ();
-  relaxed_consistency ~duration ();
-  batch_sweep ~duration ();
-  open_loop ~duration ();
-  mpl_ablation ~window ~runs ();
-  deadlock_policy_ablation ~window ~runs ();
-  history_pruning ~duration ();
-  faults_sweep ~duration ~json:None ();
-  obs_overhead ~duration ();
-  parallel_scaling ~duration ~json:None ();
-  shards_scaling ~duration ~json:None ();
-  recovery_bench ~duration ~json:None ();
-  failover_bench ~duration ~json:None ();
-  swarm_bench ~n:25 ~seed:42 ~json:None ()
+let names = "all" :: List.map (fun e -> e.name) experiments
+
+(* Runs one experiment under its section banner and returns its stamped
+   JSON object. *)
+let run_experiment p e =
+  Printf.printf "\n==============================================================\n";
+  Printf.printf "%s\n" e.title;
+  Printf.printf "==============================================================\n%!";
+  let r = e.run p in
+  let head = ("experiment", Json.Str e.name) :: r.config in
+  Ds_dst.Stamp.add ~seed:r.seed ~config:head
+    (Json.Obj (head @ r.summary @ [ ("points", Json.List r.points) ]))
+
+let main name p json =
+  let write payload =
+    Option.iter
+      (fun path ->
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Json.to_string payload);
+            output_char oc '\n');
+        note "wrote %s" path)
+      json
+  in
+  match (name, List.find_opt (fun e -> e.name = name) experiments) with
+  | "list", _ -> print_endline (String.concat " " names)
+  | "all", _ ->
+    write
+      (Json.List
+         (List.filter_map
+            (fun e -> if e.in_all then Some (run_experiment p e) else None)
+            experiments))
+  | _, Some e -> write (run_experiment p e)
+  | _, None ->
+    Printf.eprintf "unknown experiment %s (try 'list')\n" name;
+    exit 2
 
 let () =
   let open Cmdliner in
-  let window =
-    Arg.(value & opt float 24. & info [ "window" ] ~doc:"MU measurement window (virtual s); the paper uses 240.")
+  let opt c default name doc = Arg.(value & opt c default & info [ name ] ~doc) in
+  let params window runs duration cycle_scale history_sizes cycles swarm_n =
+    { window; runs; duration; cycle_scale; history_sizes; cycles; swarm_n }
   in
-  let runs = Arg.(value & opt int 2 & info [ "runs" ] ~doc:"Runs per point (averaged).") in
-  let duration =
-    Arg.(value & opt float 5. & info [ "duration" ] ~doc:"Middleware experiment duration (virtual s).")
-  in
-  let cycle_scale =
-    Arg.(value & opt float 1. & info [ "cycle-scale" ] ~doc:"Scale factor on declarative cycle times (emulates the paper's slower scheduler DBMS; try 100).")
+  let params =
+    Term.(
+      const params
+      $ opt Arg.float 24. "window" "MU measurement window (virtual s); the paper uses 240."
+      $ opt Arg.int 2 "runs" "Runs per point (averaged)."
+      $ opt Arg.float 5. "duration" "Middleware experiment duration (virtual s)."
+      $ opt Arg.float 1. "cycle-scale" "Scale factor on declarative cycle times (emulates the paper's slower scheduler DBMS; try 100)."
+      $ opt Arg.(list int) [ 1_000; 5_000; 10_000; 20_000 ] "history-sizes" "History sizes for the index experiment (comma-separated)."
+      $ opt Arg.int 30 "cycles" "Measured scheduler cycles per index-experiment point."
+      $ opt Arg.int 25 "swarm-n" "Scenarios for the swarm experiment.")
   in
   let json =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc:"Write the experiment's results as JSON to $(docv) (index, faults, parallel, recovery and failover).")
-  in
-  let history_sizes =
-    Arg.(value & opt (list int) default_history_sizes & info [ "history-sizes" ] ~doc:"History sizes for the index experiment (comma-separated).")
-  in
-  let cycles =
-    Arg.(value & opt int 30 & info [ "cycles" ] ~doc:"Measured scheduler cycles per index-experiment point.")
-  in
-  let batch =
-    Arg.(value & opt int 30 & info [ "batch" ] ~doc:"Fresh requests submitted per cycle in the index experiment.")
-  in
-  let swarm_n =
-    Arg.(value & opt int 100 & info [ "swarm-n" ] ~doc:"Scenarios for the swarm experiment.")
-  in
-  let swarm_seed =
-    Arg.(value & opt int 42 & info [ "swarm-seed" ] ~doc:"Sweep base seed for the swarm experiment.")
+    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc:"Write the experiment's stamped rows as JSON to $(docv); every experiment accepts it, and $(b,all) writes a JSON list of every experiment's object.")
   in
   let experiment =
     Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT"
-           ~doc:"One of: all, table1, table2, figure2, native-overhead, declarative-overhead, crossover, listing1-micro, succinctness, datalog-vs-sql, optimizer, index, triggers, relaxed, batch-sweep, open-loop, mpl, deadlock-policy, pruning, faults, obs, parallel, shards, recovery, failover, swarm, list.")
-  in
-  let main experiment window runs duration cycle_scale json history_sizes
-      cycles batch swarm_n swarm_seed =
-    match experiment with
-    | "all" -> all_experiments ~window ~runs ~duration ~cycle_scale ~json ()
-    | "table1" -> table1 ()
-    | "table2" -> table2 ()
-    | "figure2" -> figure2 ~window ~runs ()
-    | "native-overhead" -> native_overhead ~window ~runs ()
-    | "declarative-overhead" -> declarative_overhead ~runs ()
-    | "crossover" -> crossover ~window ~runs ~cycle_scale ()
-    | "listing1-micro" -> listing1_micro ~clients:300 ()
-    | "succinctness" -> succinctness ()
-    | "datalog-vs-sql" -> datalog_vs_sql ~runs ()
-    | "optimizer" -> optimizer_ablation ~runs ()
-    | "index" -> index_scaling ~json ~history_sizes ~cycles ~batch ()
-    | "triggers" -> trigger_policies ~duration ()
-    | "relaxed" -> relaxed_consistency ~duration ()
-    | "batch-sweep" -> batch_sweep ~duration ()
-    | "open-loop" -> open_loop ~duration ()
-    | "mpl" -> mpl_ablation ~window ~runs ()
-    | "deadlock-policy" -> deadlock_policy_ablation ~window ~runs ()
-    | "pruning" -> history_pruning ~duration ()
-    | "faults" -> faults_sweep ~duration ~json ()
-    | "obs" -> obs_overhead ~duration ()
-    | "parallel" -> parallel_scaling ~duration ~json ()
-    | "shards" -> shards_scaling ~duration ~json ()
-    | "recovery" -> recovery_bench ~duration ~json ()
-    | "failover" -> failover_bench ~duration ~json ()
-    | "swarm" -> swarm_bench ~n:swarm_n ~seed:swarm_seed ~json ()
-    | "list" ->
-      print_endline
-        "all table1 table2 figure2 native-overhead declarative-overhead \
-         crossover listing1-micro succinctness datalog-vs-sql optimizer \
-         index triggers relaxed batch-sweep open-loop mpl deadlock-policy \
-         pruning faults obs parallel shards recovery failover swarm"
-    | other ->
-      Printf.eprintf "unknown experiment %s (try 'list')\n" other;
-      exit 2
-  in
-  let term =
-    Term.(
-      const main $ experiment $ window $ runs $ duration $ cycle_scale $ json
-      $ history_sizes $ cycles $ batch $ swarm_n $ swarm_seed)
+           ~doc:("One of: " ^ String.concat ", " (names @ [ "list" ]) ^ "."))
   in
   let info =
     Cmd.info "bench"
       ~doc:"Regenerate the paper's tables and figures plus DESIGN.md ablations"
   in
-  exit (Cmd.eval (Cmd.v info term))
+  exit (Cmd.eval (Cmd.v info Term.(const main $ experiment $ params $ json)))

@@ -16,6 +16,7 @@ let () =
       ("faults", Test_faults.tests);
       ("replica", Test_replica.tests);
       ("cli", Test_cli.tests);
+      ("bench", Test_bench.tests);
       ("parallel", Test_parallel.tests);
       ("check", Test_check.tests);
       ("differential", Test_differential.tests);
