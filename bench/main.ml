@@ -214,7 +214,7 @@ let verdicts ?(shards = 1) (h : Middleware.handle) =
   (* The merged schedule, reassembled from the declarative assignment log
      (pos = delivery order). *)
   let merged = Middleware.delivered h in
-  let report =
+  let serial =
     Ds_check.Serializability.check_committed
       (Ds_check.Conflict_graph.events_of_requests rte)
   in
@@ -224,7 +224,7 @@ let verdicts ?(shards = 1) (h : Middleware.handle) =
         ~shard_of:h.Middleware.shard_of ~reference:rte ~candidate:merged ()
     else Ds_check.Equivalence.check ~reference:rte ~candidate:merged ()
   in
-  ( Ds_check.Serializability.is_clean report,
+  ( Ds_check.Serializability.is_clean serial,
     Ds_check.Equivalence.is_equivalent equiv )
 
 let verdict_cols get =
@@ -355,8 +355,10 @@ let crossover =
       [
         int ~head:"clients" "clients" (fun (c, _, _, _) -> c);
         ovh "native ovh (s)" "native_overhead_s" (fun (_, n, _, _) -> n);
-        ovh "declarative ovh (s)" "declarative_overhead_s" (fun (_, _, d, _) -> d);
-        float ~head:"cycles needed" "cycles_needed" "%.0f" (fun (_, _, _, c) -> c);
+        ovh "declarative ovh (s)" "declarative_overhead_s" (fun (_, _, d, _) ->
+            d);
+        float ~head:"cycles needed" "cycles_needed" "%.0f" (fun (_, _, _, c) ->
+            c);
         str ~head:"winner" "winner" (fun (_, n, d, _) ->
             if d < n then "declarative" else "native");
       ]
@@ -371,7 +373,8 @@ let table1 =
   @@ fun _ ->
   let feature head key get =
     col ~head ~align:Tablefmt.Center key
-      (fun (a : Related.approach) -> if get a.Related.features then "+" else "-")
+      (fun (a : Related.approach) ->
+        if get a.Related.features then "+" else "-")
       (fun a -> Json.Bool (get a.Related.features))
   in
   let points =
@@ -475,7 +478,8 @@ let listing1_micro =
         col ~head:"ms/run" "ms_per_run"
           (fun (_, ms) ->
             Option.fold ~none:"(no estimate)" ~some:(Printf.sprintf "%.3f") ms)
-          (fun (_, ms) -> Option.fold ~none:Json.Null ~some:(fun v -> Json.Num v) ms);
+          (fun (_, ms) ->
+            Option.fold ~none:Json.Null ~some:(fun v -> Json.Num v) ms);
       ]
   in
   report ~seed:42 [ ("clients", num_i clients) ] points
@@ -485,7 +489,9 @@ let trigger_policies =
     "Ablation A1: trigger policy (paper 3.3: 'the best condition has to be \
      evaluated experimentally')"
   @@ fun p ->
-  let run trigger = (trigger, Middleware.run (mw_cfg ~trigger ~clients:100 p)) in
+  let run trigger =
+    (trigger, Middleware.run (mw_cfg ~trigger ~clients:100 p))
+  in
   let points =
     emit
       (List.map run
@@ -524,13 +530,13 @@ let succinctness =
         Builtin.read_committed_datalog;
       ]
       [
-        str ~head:"protocol" "protocol" (fun p -> p.Protocol.name);
-        str ~head:"language" "language" (fun p ->
-            match p.Protocol.language with
+        str ~head:"protocol" "protocol" (fun pr -> pr.Protocol.name);
+        str ~head:"language" "language" (fun pr ->
+            match pr.Protocol.language with
             | `Sql -> "SQL"
             | `Datalog -> "Datalog"
             | `Ocaml -> "OCaml (imperative)");
-        int ~head:"spec lines" "spec_lines" (fun p -> p.Protocol.spec_loc);
+        int ~head:"spec lines" "spec_lines" (fun pr -> pr.Protocol.spec_loc);
       ]
   in
   report [] points
@@ -645,7 +651,11 @@ let relaxed_consistency =
   let read_mostly =
     emit
       (List.map (run spec)
-         [ Builtin.ss2pl_sql; Builtin.read_committed_sql; Builtin.reader_offload ])
+         [
+           Builtin.ss2pl_sql;
+           Builtin.read_committed_sql;
+           Builtin.reader_offload;
+         ])
       (head "read-mostly" @ [ p95_latency snd ])
   in
   report (by_duration p) (contended @ read_mostly)
@@ -653,7 +663,8 @@ let relaxed_consistency =
 let batch_sweep =
   exp "batch-sweep" "Ablation A5: fill-level (batch size) sweep" @@ fun p ->
   let run k =
-    (k, Middleware.run (mw_cfg ~trigger:(Trigger.Hybrid (0.1, k)) ~clients:120 p))
+    let trigger = Trigger.Hybrid (0.1, k) in
+    (k, Middleware.run (mw_cfg ~trigger ~clients:120 p))
   in
   let points =
     emit
@@ -689,7 +700,8 @@ let mpl_ablation =
       (List.map run [ None; Some 300; Some 150; Some 75; Some 25 ])
       [
         col ~head:"MPL" ~align:Tablefmt.Left "mpl"
-          (fun (mpl, _) -> Option.fold ~none:"unlimited" ~some:string_of_int mpl)
+          (fun (mpl, _) ->
+            Option.fold ~none:"unlimited" ~some:string_of_int mpl)
           (fun (mpl, _) -> Option.fold ~none:Json.Null ~some:num_i mpl);
         mean "MU stmts" "mu_stmts" (fun s ->
             float_of_int s.Native_sim.committed_stmts);
@@ -726,7 +738,8 @@ let open_loop =
     emit
       (List.concat_map
          (fun rate ->
-           List.map (run rate) [ Builtin.ss2pl_ocaml; Builtin.c2pl; Builtin.fcfs ])
+           List.map (run rate)
+             [ Builtin.ss2pl_ocaml; Builtin.c2pl; Builtin.fcfs ])
          [ 20.; 40.; 60.; 80. ])
       [
         float ~head:"txns/s" "arrival_rate" "%.0f" (fun (r, _, _) -> r);
@@ -772,7 +785,8 @@ let deadlock_policy_ablation =
         count "MU stmts" "mu_stmts" (fun s -> s.Native_sim.committed_stmts);
         count "deadlocks" "deadlocks" (fun s -> s.Native_sim.deadlocks);
         count "wounds" "wounds" (fun s -> s.Native_sim.wounds);
-        count "wasted stmts" "wasted_stmts" (fun s -> s.Native_sim.wasted_stmts);
+        count "wasted stmts" "wasted_stmts" (fun s ->
+            s.Native_sim.wasted_stmts);
       ]
   in
   report ~seed:71 (by_window p) points
@@ -840,12 +854,12 @@ let faults_sweep =
   let p95 head key tier =
     let get (_, s) =
       List.find_map
-        (fun (t, _, p, _) -> if t = tier then Some p else None)
+        (fun (t, _, q, _) -> if t = tier then Some q else None)
         s.Middleware.latency_by_tier
     in
     col ~head key
       (fun r -> Option.fold ~none:"-" ~some:(Printf.sprintf "%.3f") (get r))
-      (fun r -> Option.fold ~none:Json.Null ~some:(fun p -> Json.Num p) (get r))
+      (fun r -> Option.fold ~none:Json.Null ~some:(fun q -> Json.Num q) (get r))
   in
   let points =
     emit
@@ -971,7 +985,9 @@ let index_scaling =
     let rebuild, _, rebuild_q =
       run_mode ~regime ~incremental:false ~history_size
     in
-    let incr, index, incr_q = run_mode ~regime ~incremental:true ~history_size in
+    let incr, index, incr_q =
+      run_mode ~regime ~incremental:true ~history_size
+    in
     (name, history_size, [| rebuild; incr; index |], rebuild_q = incr_q)
   in
   let ms head key i =
@@ -990,8 +1006,8 @@ let index_scaling =
         ms "index (ms)" "index_s" 2;
         float ~head:"speedup" "speedup" "%.1fx" (fun (_, _, t, _) ->
             t.(0) /. Float.max 1e-9 t.(1));
-        flag ~head:"identical" "identical" ("true", "false") (fun (_, _, _, same) ->
-            same);
+        flag ~head:"identical" "identical" ("true", "false")
+          (fun (_, _, _, same) -> same);
       ]
   in
   note
@@ -1097,12 +1113,12 @@ let parallel_scaling =
     in
     let util =
       match Ds_obs.Metrics.parallel m with
-      | Some p when p.Ds_obs.Metrics.per_worker <> [] ->
+      | Some par when par.Ds_obs.Metrics.per_worker <> [] ->
         List.fold_left
           (fun acc (w : Ds_obs.Metrics.worker_row) ->
             acc +. w.Ds_obs.Metrics.utilization)
-          0. p.Ds_obs.Metrics.per_worker
-        /. float_of_int (List.length p.Ds_obs.Metrics.per_worker)
+          0. par.Ds_obs.Metrics.per_worker
+        /. float_of_int (List.length par.Ds_obs.Metrics.per_worker)
       | _ -> 0.
     in
     (workers, s, util, verdicts h)
@@ -1122,7 +1138,8 @@ let parallel_scaling =
              s.Middleware.p95_batch_makespan);
          float ~head:"makespan ratio" "speedup" "%.2fx" (fun r ->
              ratio base (makespan r));
-         float ~head:"mean util" "mean_utilization" "%.3f" (fun (_, _, u, _) -> u);
+         float ~head:"mean util" "mean_utilization" "%.3f" (fun (_, _, u, _) ->
+             u);
        ]
       @ verdict_cols (fun (_, _, _, v) -> v))
   in
@@ -1317,7 +1334,8 @@ let recovery_bench =
   let count ?head key f = int ?head key (fun (_, s) -> f s) in
   let middleware_points =
     emit
-      (List.map crashing [ (0., None); (0., Some 10); (0.2, None); (0.2, Some 10) ])
+      (List.map crashing
+         [ (0., None); (0., Some 10); (0.2, None); (0.2, Some 10) ])
       [
         const "mode" (Json.Str "middleware");
         int "workers" (fun ((cfg : Middleware.config), _) ->
@@ -1330,8 +1348,10 @@ let recovery_bench =
         committed snd;
         float ~head:"recovery (ms)" "recovery_ms" "%.3f" (fun (_, s) ->
             1000. *. s.Middleware.recovery_time);
-        count ~head:"replayed" "replayed" (fun s -> s.Middleware.recovery_replayed);
-        count ~head:"skipped" "skipped" (fun s -> s.Middleware.recovery_skipped);
+        count ~head:"replayed" "replayed" (fun s ->
+            s.Middleware.recovery_replayed);
+        count ~head:"skipped" "skipped" (fun s ->
+            s.Middleware.recovery_skipped);
         count ~head:"reassigned" "reassigned" (fun s ->
             s.Middleware.reassigned_classes);
         count "checkpoints" (fun s -> s.Middleware.checkpoints);
@@ -1416,12 +1436,14 @@ let failover_bench =
     with_temp_journal @@ fun journal ->
     Fun.protect ~finally:(fun () ->
         List.iter
-          (fun p -> try Sys.remove p with Sys_error _ -> ())
+          (fun f -> try Sys.remove f with Sys_error _ -> ())
           [ Session.standby_path_of dir; Filename.concat dir "REPL" ];
         try Sys.rmdir dir with Sys_error _ -> ())
     @@ fun () ->
     let trace = Ds_obs.Trace.create () in
-    let session = Session.create ~mode ~plan ~seed:failover_seed ~trace ~dir () in
+    let session =
+      Session.create ~mode ~plan ~seed:failover_seed ~trace ~dir ()
+    in
     let cfg =
       {
         (mw_cfg ~clients:30 p) with
@@ -1454,7 +1476,8 @@ let failover_bench =
   let points =
     emit rows
       [
-        str ~head:"mode" "mode" (fun (m, _, _, _, _, _) -> Session.mode_to_string m);
+        str ~head:"mode" "mode" (fun (m, _, _, _, _, _) ->
+            Session.mode_to_string m);
         str ~head:"link" "link" (fun (_, l, _, _, _, _) -> l);
         const "seed" (num_i failover_seed);
         committed (fun (_, _, s, _, _, _) -> s);
@@ -1524,9 +1547,8 @@ let names = "all" :: List.map (fun e -> e.name) experiments
 (* Runs one experiment under its section banner and returns its stamped
    JSON object. *)
 let run_experiment p e =
-  Printf.printf "\n==============================================================\n";
-  Printf.printf "%s\n" e.title;
-  Printf.printf "==============================================================\n%!";
+  let rule = String.make 62 '=' in
+  Printf.printf "\n%s\n%s\n%s\n%!" rule e.title rule;
   let r = e.run p in
   let head = ("experiment", Json.Str e.name) :: r.config in
   Ds_dst.Stamp.add ~seed:r.seed ~config:head
@@ -1557,23 +1579,38 @@ let main name p json =
 
 let () =
   let open Cmdliner in
-  let opt c default name doc = Arg.(value & opt c default & info [ name ] ~doc) in
+  let opt c default name doc =
+    Arg.(value & opt c default & info [ name ] ~doc)
+  in
   let params window runs duration cycle_scale history_sizes cycles swarm_n =
     { window; runs; duration; cycle_scale; history_sizes; cycles; swarm_n }
   in
   let params =
     Term.(
       const params
-      $ opt Arg.float 24. "window" "MU measurement window (virtual s); the paper uses 240."
+      $ opt Arg.float 24. "window"
+          "MU measurement window (virtual s); the paper uses 240."
       $ opt Arg.int 2 "runs" "Runs per point (averaged)."
-      $ opt Arg.float 5. "duration" "Middleware experiment duration (virtual s)."
-      $ opt Arg.float 1. "cycle-scale" "Scale factor on declarative cycle times (emulates the paper's slower scheduler DBMS; try 100)."
-      $ opt Arg.(list int) [ 1_000; 5_000; 10_000; 20_000 ] "history-sizes" "History sizes for the index experiment (comma-separated)."
-      $ opt Arg.int 30 "cycles" "Measured scheduler cycles per index-experiment point."
+      $ opt Arg.float 5. "duration"
+          "Middleware experiment duration (virtual s)."
+      $ opt Arg.float 1. "cycle-scale"
+          "Scale factor on declarative cycle times (emulates the paper's \
+           slower scheduler DBMS; try 100)."
+      $ opt Arg.(list int) [ 1_000; 5_000; 10_000; 20_000 ] "history-sizes"
+          "History sizes for the index experiment (comma-separated)."
+      $ opt Arg.int 30 "cycles"
+          "Measured scheduler cycles per index-experiment point."
       $ opt Arg.int 25 "swarm-n" "Scenarios for the swarm experiment.")
   in
   let json =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc:"Write the experiment's stamped rows as JSON to $(docv); every experiment accepts it, and $(b,all) writes a JSON list of every experiment's object.")
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:
+            "Write the experiment's stamped rows as JSON to $(docv); every \
+             experiment accepts it, and $(b,all) writes a JSON list of every \
+             experiment's object.")
   in
   let experiment =
     Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT"
