@@ -1113,12 +1113,9 @@ let parallel_scaling =
     in
     let util =
       match Ds_obs.Metrics.parallel m with
-      | Some par when par.Ds_obs.Metrics.per_worker <> [] ->
-        List.fold_left
-          (fun acc (w : Ds_obs.Metrics.worker_row) ->
-            acc +. w.Ds_obs.Metrics.utilization)
-          0. par.Ds_obs.Metrics.per_worker
-        /. float_of_int (List.length par.Ds_obs.Metrics.per_worker)
+      | Some { Ds_obs.Metrics.per_worker = _ :: _ as ws; _ } ->
+        List.fold_left (fun acc w -> acc +. w.Ds_obs.Metrics.utilization) 0. ws
+        /. float_of_int (List.length ws)
       | _ -> 0.
     in
     (workers, s, util, verdicts h)
@@ -1269,12 +1266,8 @@ let recovery_bench =
     done;
     Journal.close journal;
     let lines =
-      In_channel.with_open_bin path (fun ic ->
-          let n = ref 0 in
-          String.iter
-            (fun c -> if c = '\n' then incr n)
-            (In_channel.input_all ic);
-          !n)
+      In_channel.with_open_bin path In_channel.input_all
+      |> String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0
     in
     (* median-ish of 3: recover is fast, wall time is noisy *)
     let times =
@@ -1495,21 +1488,15 @@ let failover_bench =
           (fun (_, _, _, _, _, ok) -> ok);
       ]
   in
+  (* [holds mode f]: [f] holds for every run in [mode]. *)
+  let holds mode f =
+    List.for_all (fun (m, _, _, _, r, ok) -> m <> mode || f r ok) rows
+  in
   let sync_zero_loss =
-    List.for_all
-      (fun (mode, _, _, _, r, ok) ->
-        match mode with
-        | Session.Sync -> ok && r.E.lost_above_watermark = []
-        | Session.Async -> true)
-      rows
+    holds Session.Sync (fun r ok -> ok && r.E.lost_above_watermark = [])
   in
   let async_loss_bounded =
-    List.for_all
-      (fun (mode, _, _, _, r, _) ->
-        match mode with
-        | Session.Async -> r.E.lost_below_watermark = []
-        | Session.Sync -> true)
-      rows
+    holds Session.Async (fun r _ -> r.E.lost_below_watermark = [])
   in
   let fenced_witnessed =
     List.exists (fun (_, _, _, se, _, _) -> Session.fenced se > 0) rows
