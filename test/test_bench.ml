@@ -28,7 +28,9 @@ let expected_names =
 
 let contains ~needle haystack =
   let nh = String.length haystack and nn = String.length needle in
-  let rec at i = i + nn <= nh && (String.sub haystack i nn = needle || at (i + 1)) in
+  let rec at i =
+    i + nn <= nh && (String.sub haystack i nn = needle || at (i + 1))
+  in
   nn = 0 || at 0
 
 let test_list () =
@@ -56,9 +58,13 @@ let member path j =
 
 let test_json name () =
   let path = Filename.temp_file ("bench_" ^ name) ".json" in
-  let code, out = bench (Printf.sprintf "%s --json %s" name (Filename.quote path)) in
+  let code, out =
+    bench (Printf.sprintf "%s --json %s" name (Filename.quote path))
+  in
   Alcotest.(check int) (name ^ " exits 0: " ^ out) 0 code;
-  let j = Json.of_string (In_channel.with_open_text path In_channel.input_all) in
+  let j =
+    Json.of_string (In_channel.with_open_text path In_channel.input_all)
+  in
   Sys.remove path;
   List.iter
     (fun k ->
