@@ -248,6 +248,7 @@ let with_temp_journal f =
 (* Experiments                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* E1 — Figure 2 *)
 let figure2 =
   exp "figure2" "Figure 2: execution time MU / execution time SU (%)"
   @@ fun p ->
@@ -277,6 +278,7 @@ let figure2 =
     rows;
   report ~seed:mu_seed (by_window p) points
 
+(* E2 — §4.2.2 native scheduler overhead *)
 let native_overhead =
   exp "native-overhead"
     "Native scheduler overhead (paper 4.2.2; paper at 240 s: 300 clients -> \
@@ -298,6 +300,7 @@ let native_overhead =
     p.window;
   report ~seed:mu_seed (by_window p) points
 
+(* E3 — §4.3.2 declarative scheduling overhead *)
 let declarative_overhead =
   exp "declarative-overhead"
     "Declarative scheduling overhead (paper 4.3.2; paper: 358 ms per cycle at \
@@ -324,6 +327,7 @@ let declarative_overhead =
      qualified to history (the paper's 4.3.1 measurement).";
   report (by_runs p) points
 
+(* E3b — crossover: native vs declarative amortized overhead *)
 let crossover =
   exp "crossover"
     "Crossover: native scheduling overhead vs amortized declarative overhead"
@@ -366,6 +370,7 @@ let crossover =
   report ~seed:mu_seed (("cycle_scale", Json.Num p.cycle_scale) :: by_window p)
     points
 
+(* E4 — Table 1 *)
 let table1 =
   exp "table1"
     "Table 1: related approaches (P performance, QoS, D declarativity, F \
@@ -392,6 +397,7 @@ let table1 =
   in
   report [] points
 
+(* E5 — Table 2 *)
 let table2 =
   exp "table2" "Table 2: attributes of the requests / history / rte tables"
   @@ fun _ ->
@@ -416,6 +422,7 @@ let table2 =
     (Format.asprintf "%a" Ds_relal.Schema.pp (Relations.schema ~extended:true));
   report [] points
 
+(* E6/A2 — Listing 1 microbenchmark via Bechamel *)
 let listing1_micro =
   let clients = 300 in
   exp ~in_all:false "listing1-micro"
