@@ -10,13 +10,17 @@ build:
 test:
 	dune runtest
 
-# Everything CI runs: build, the full test suite, and a differential fuzz
+# Everything CI runs: build, the full test suite, a differential fuzz
 # smoke (100 seeds through oracle + SQL + Datalog + native 2PL, with the
-# serializability battery on every schedule).
+# serializability battery on every schedule), and the swarm determinism
+# gate (the same 200 seeded scenarios twice, byte-identical reports).
 check:
 	dune build @all
 	dune runtest
 	dune exec bin/dsched.exe -- check --fuzz 100
+	dune exec bin/dsched.exe -- swarm -n 200 --seed 1 --out swarm-smoke.json
+	dune exec bin/dsched.exe -- swarm -n 200 --seed 1 --out swarm-smoke-2.json
+	cmp swarm-smoke.json swarm-smoke-2.json
 
 # Quick-scale run of every paper table/figure + ablations.
 bench:

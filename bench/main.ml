@@ -497,7 +497,7 @@ let trigger_policies =
      evaluated experimentally')"
   @@ fun p ->
   let run trigger =
-    (trigger, Middleware.run (mw_cfg ~trigger ~clients:100 p))
+    (trigger, fst (Middleware.run_sharded (mw_cfg ~trigger ~clients:100 p)))
   in
   let points =
     emit
@@ -620,7 +620,8 @@ let relaxed_consistency =
   @@ fun p ->
   let run spec (protocol : Protocol.t) =
     let trigger = Trigger.Hybrid (0.01, 60) in
-    (protocol, Middleware.run (mw_cfg ~protocol ~trigger ~spec ~clients:60 p))
+    ( protocol,
+      fst (Middleware.run_sharded (mw_cfg ~protocol ~trigger ~spec ~clients:60 p)) )
   in
   let head mix =
     [
@@ -671,7 +672,7 @@ let batch_sweep =
   exp "batch-sweep" "Ablation A5: fill-level (batch size) sweep" @@ fun p ->
   let run k =
     let trigger = Trigger.Hybrid (0.1, k) in
-    (k, Middleware.run (mw_cfg ~trigger ~clients:120 p))
+    (k, fst (Middleware.run_sharded (mw_cfg ~trigger ~clients:120 p)))
   in
   let points =
     emit
@@ -805,7 +806,8 @@ let history_pruning =
       mw_cfg ~protocol:Builtin.ss2pl_sql ~trigger:(Trigger.Hybrid (0.01, 60))
         ~clients:60 p
     in
-    (prune, Middleware.run { cfg with Middleware.prune_history = prune })
+    ( prune,
+      fst (Middleware.run_sharded { cfg with Middleware.prune_history = prune }) )
   in
   let points =
     emit
@@ -855,7 +857,7 @@ let faults_sweep =
         charge_scheduler_time = false;
       }
     in
-    (cfg, Middleware.run cfg)
+    (cfg, fst (Middleware.run_sharded cfg))
   in
   let count head key f = int ~head key (fun (_, s) -> f s) in
   let p95 head key tier =
@@ -1046,13 +1048,14 @@ let obs_overhead =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let s_off, t_off = time (fun () -> Middleware.run base) in
+  let s_off, t_off = time (fun () -> fst (Middleware.run_sharded base)) in
   let tr = Ds_obs.Trace.create () in
   let m = Ds_obs.Metrics.create () in
   let s_on, t_on =
     time (fun () ->
-        Middleware.run
-          { base with Middleware.trace = Some tr; metrics = Some m })
+        fst
+          (Middleware.run_sharded
+             { base with Middleware.trace = Some tr; metrics = Some m }))
   in
   let overhead_pct = 100. *. (t_on -. t_off) /. Float.max 1e-9 t_off in
   note "tracing off: %.3fs wall" t_off;
@@ -1181,12 +1184,11 @@ let shards_scaling =
       charge_scheduler_time = false;
     }
   in
-  (* S=1 must be the single-scheduler code path bit for bit: same rte log,
-     same delivery order. *)
+  (* At S=1 the stamp-merged views must be the single lane's own, bit for
+     bit: same rte log, same delivery order. *)
   let s1_identical =
-    let _, sched = Middleware.run_full (cfg 1) in
     let _, h = Middleware.run_sharded (cfg 1) in
-    let rels = Scheduler.relations sched in
+    let rels = Scheduler.relations h.Middleware.lane_schedulers.(0) in
     List.map Ds_model.Request.to_string (Relations.rte_requests rels)
     = List.map Ds_model.Request.to_string h.Middleware.merged_rte
     && Relations.execution_order rels = h.Middleware.merged_execution_order
@@ -1329,7 +1331,7 @@ let recovery_bench =
         charge_scheduler_time = false;
       }
     in
-    (cfg, Middleware.run cfg)
+    (cfg, fst (Middleware.run_sharded cfg))
   in
   let count ?head key f = int ?head key (fun (_, s) -> f s) in
   let middleware_points =
@@ -1458,7 +1460,7 @@ let failover_bench =
         charge_scheduler_time = false;
       }
     in
-    let s = Middleware.run cfg in
+    let s, _ = Middleware.run_sharded cfg in
     Session.close session;
     let r =
       Ds_dst.Runner.failover_report session

@@ -115,7 +115,12 @@ let protocol_arg =
 
 let run_cmd =
   let doc = "Run the end-to-end middleware simulation (Figure 1)." in
-  let clients = Arg.(value & opt int 50 & info [ "clients" ] ~doc:"Concurrent clients.") in
+  let clients =
+    Arg.(
+      value
+      & opt (pos_int_conv "--clients") 50
+      & info [ "clients" ] ~doc:"Concurrent clients.")
+  in
   let duration =
     Arg.(value & opt float 5. & info [ "duration" ] ~doc:"Virtual seconds.")
   in
@@ -269,7 +274,7 @@ let run_cmd =
   let queue_cap =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (pos_int_conv "--queue-cap")) None
       & info [ "queue-cap" ] ~docv:"N"
           ~doc:
             "Bound the incoming queue: shed the least urgent request for a \
@@ -366,6 +371,12 @@ let run_cmd =
            else Middleware.default_config.Middleware.charge_scheduler_time);
       }
     in
+    (match Middleware.validate cfg with
+    | Ok () -> ()
+    | Error m ->
+      Option.iter Ds_replica.Session.close session;
+      prerr_endline ("run: " ^ m);
+      exit 2);
     if faulty then
       Format.printf "fault plan: %a (seed %d)@." Faults.pp_plan faults seed;
     let s, h = Middleware.run_sharded cfg in

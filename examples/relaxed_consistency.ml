@@ -37,7 +37,7 @@ let run (protocol : Protocol.t) =
       starvation_cycles = 40;
     }
   in
-  let s = Middleware.run cfg in
+  let s, _ = Middleware.run_sharded cfg in
   Printf.printf "%-22s  committed=%-5d aborted=%-5d p95=%6.1f ms\n"
     protocol.Protocol.name s.Middleware.committed_txns s.Middleware.aborted_txns
     (1000. *. s.Middleware.p95_txn_latency);

@@ -41,7 +41,7 @@ let run name protocol =
       charge_scheduler_time = true;
     }
   in
-  let s = Middleware.run cfg in
+  let s, _ = Middleware.run_sharded cfg in
   Printf.printf "\n%s: %d committed, %d cycles\n" name
     s.Middleware.committed_txns s.Middleware.cycles;
   List.iter

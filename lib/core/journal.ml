@@ -122,9 +122,7 @@ let write_line t payload =
   match t.sink with None -> () | Some f -> f t.n_lines payload
 
 let set_sink t f = t.sink <- Some f
-let clear_sink t = t.sink <- None
 let set_hash_checkpoints t b = t.hash_checkpoints <- b
-let lines_written t = t.n_lines
 
 let log_submit t r =
   st_submit t.state r;
@@ -219,8 +217,6 @@ let state_hash t = state_hash_of t.state
 let log_epoch t e =
   t.state.epoch <- e;
   write_line t (Printf.sprintf "E %d" e)
-
-let writer_epoch t = t.state.epoch
 
 let checkpoint t ~cycle =
   let pending = pending_of_state t.state in

@@ -132,17 +132,11 @@ val checkpoints_written : t -> int
     line number in the file. *)
 val set_sink : t -> (int -> string -> unit) -> unit
 
-val clear_sink : t -> unit
-
 (** Enables the ['H cycle hash'] record after each checkpoint block: the
     CRC32 of the writer mirror's canonical serialization. Off by default so
     unreplicated journals stay byte-identical to previous versions
     (replaying ['H'] is always a no-op). *)
 val set_hash_checkpoints : t -> bool -> unit
-
-(** Records written through this handle so far (the next record's LSN minus
-    one). *)
-val lines_written : t -> int
 
 (** CRC32 over the writer mirror's canonical serialization — equal on
     primary and standby iff their replayed states agree. *)
@@ -160,9 +154,6 @@ val append_raw : t -> string -> unit
     carries raises [Failure] — a stale primary from a fenced old epoch
     cannot sneak its writes past a promotion. *)
 val log_epoch : t -> int -> unit
-
-(** The writer mirror's current promotion epoch. *)
-val writer_epoch : t -> int
 
 (** Flushes buffered entries to the OS (called by the scheduler at the end of
     every cycle); fsyncs too when the journal was opened with [~sync:true]. *)

@@ -35,7 +35,6 @@ type config = {
   n_clients : int;
   duration : float;
   spec : Spec.t;
-  cost : Ds_server.Cost_model.t;
   workers : int;
   shards : int;
   seed : int;
@@ -48,14 +47,11 @@ type config = {
   passthrough : bool;
   faults : Faults.plan;
   max_retries : int;
-  retry_base : float;
-  retry_cap : float;
   batch_timeout : float option;
   queue_capacity : int option;
   journal_path : string option;
   sync_journal : bool;
   checkpoint_interval : int option;
-  deadline_factor : float option;
   hedging : bool;
   client_redo : bool;
   repl : repl_hooks option;
@@ -68,7 +64,6 @@ let default_config =
     n_clients = 10;
     duration = 10.;
     spec = Spec.paper_default;
-    cost = Ds_server.Cost_model.default;
     workers = 1;
     shards = 1;
     seed = 42;
@@ -81,20 +76,21 @@ let default_config =
     passthrough = false;
     faults = Faults.none;
     max_retries = 3;
-    retry_base = 0.01;
-    retry_cap = 0.5;
     batch_timeout = None;
     queue_capacity = None;
     journal_path = None;
     sync_journal = false;
     checkpoint_interval = None;
-    deadline_factor = None;
     hedging = false;
     client_redo = false;
     repl = None;
     trace = None;
     metrics = None;
   }
+
+(* Capped exponential retry backoff, in virtual seconds. *)
+let retry_base = 0.01
+let retry_cap = 0.5
 
 type stats = {
   committed_txns : int;
@@ -224,7 +220,6 @@ type sim = {
   mutable req_counter : int;
   mutable deliveries : int;
       (** run-global delivery counter — the [pos] column of [assignment] *)
-  mutable committed_txns : int;
   mutable committed_stmts : int;
   mutable aborted_txns : int;
   fail_streaks : (int * int, int) Hashtbl.t;
@@ -243,12 +238,10 @@ type sim = {
   mutable recovery_replayed : int;
   mutable recovery_skipped : int;
   mutable recovery_time : float;
-  cycle_times : Ds_stats.Summary.t;
-  cycle_times_hist : Ds_stats.Histogram.t;
-  batch_sizes : Ds_stats.Summary.t;
-  pending_sizes : Ds_stats.Summary.t;
-  latencies : Ds_stats.Histogram.t;
-  tier_latencies : (Sla.tier, Ds_stats.Histogram.t * int ref) Hashtbl.t;
+  store : Ds_obs.Metrics.t;
+      (** [cfg.metrics], or a private store: one row per cycle and per
+          commit, from which the commit count and the cycle, batch and
+          latency stats come *)
 }
 
 let fresh_ta sim client =
@@ -347,7 +340,7 @@ let build_scheduler cfg ~stamp ?restored journal =
   let rels = Scheduler.relations sched in
   Option.iter (fun r -> Journal.restore ~rte:true r rels) restored;
   Relations.register_workers rels ~workers:cfg.workers
-    ~cores:cfg.cost.Ds_server.Cost_model.n_cores;
+    ~cores:Ds_server.Cost_model.default.Ds_server.Cost_model.n_cores;
   Relations.register_shards rels ~shards:cfg.shards;
   sched
 
@@ -542,19 +535,12 @@ and run_cycle sim lane =
           end)
         qualified;
     let dt = Scheduler.total_time stats.Scheduler.times in
-    Ds_stats.Summary.add sim.cycle_times dt;
-    Ds_stats.Histogram.add sim.cycle_times_hist dt;
-    Ds_stats.Summary.add sim.batch_sizes (float_of_int stats.Scheduler.qualified);
-    Ds_stats.Summary.add sim.pending_sizes
-      (float_of_int stats.Scheduler.pending_before);
-    Option.iter
-      (fun m ->
-        Ds_obs.Metrics.record_cycle m ~drained:stats.Scheduler.drained
-          ~pending_before:stats.Scheduler.pending_before
-          ~qualified:stats.Scheduler.qualified
-          ~query_time:stats.Scheduler.times.Scheduler.query
-          ~index_time:stats.Scheduler.index_time ())
-      sim.cfg.metrics;
+    Ds_obs.Metrics.record_cycle sim.store ~time:dt
+      ~drained:stats.Scheduler.drained
+      ~pending_before:stats.Scheduler.pending_before
+      ~qualified:stats.Scheduler.qualified
+      ~query_time:stats.Scheduler.times.Scheduler.query
+      ~index_time:stats.Scheduler.index_time ();
     (* Starvation accounting: clients routed to THIS lane whose outstanding
        request is still pending after this cycle. (A request can only ever
        qualify in its own lane's cycles, so other lanes' clients are not
@@ -665,8 +651,7 @@ and handle_failure sim lane ~epoch ~cycle failed undelivered =
     sim.retries <- sim.retries + 1;
     Ds_obs.Trace.emit_req sim.cfg.trace ~arg:streak Ds_obs.Trace.Retry failed;
     let backoff =
-      Faults.backoff ~base:sim.cfg.retry_base ~cap:sim.cfg.retry_cap
-        ~attempt:(streak - 1)
+      Faults.backoff ~base:retry_base ~cap:retry_cap ~attempt:(streak - 1)
       *. (1. +. (0.5 *. Rng.float sim.rng))
     in
     ignore
@@ -723,27 +708,10 @@ and deliver sim (req : Request.t) =
            else Ds_obs.Trace.Abort)
           ~ta:req.Request.ta;
         if now <= sim.cfg.duration && Op.equal req.Request.op Op.Commit then begin
-          sim.committed_txns <- sim.committed_txns + 1;
           sim.committed_stmts <- sim.committed_stmts + client.data_stmts;
-          let latency = now -. client.txn_start in
-          Ds_stats.Histogram.add sim.latencies latency;
-          Option.iter
-            (fun m ->
-              Ds_obs.Metrics.observe_latency m
-                ~tier:(Sla.tier_to_string client.txn.Txn.sla.Sla.tier)
-                latency)
-            sim.cfg.metrics;
-          let tier = client.txn.Txn.sla.Sla.tier in
-          let hist, count =
-            match Hashtbl.find_opt sim.tier_latencies tier with
-            | Some entry -> entry
-            | None ->
-              let entry = (Ds_stats.Histogram.create (), ref 0) in
-              Hashtbl.add sim.tier_latencies tier entry;
-              entry
-          in
-          Ds_stats.Histogram.add hist latency;
-          incr count
+          Ds_obs.Metrics.observe_latency sim.store
+            ~tier:(Sla.tier_to_string client.txn.Txn.sla.Sla.tier)
+            (now -. client.txn_start)
         end;
         start_txn sim client
       end
@@ -926,38 +894,46 @@ and failover sim =
     (Scheduler.relations sim.lanes.(0).sched)
     ~epoch:(h.repl_status ()).rs_epoch ~cycle:sim.cycles_done ~reason:"pcrash"
 
-let run_sim (cfg : config) =
-  (match Spec.validate cfg.spec with
+let validate (cfg : config) =
+  let positive = function Some n -> n > 0 | None -> true in
+  let repl = Option.is_some cfg.repl in
+  let checks =
+    [
+      (cfg.n_clients >= 0, "n_clients must be non-negative");
+      (cfg.max_retries >= 0, "max_retries must be non-negative");
+      (cfg.workers >= 1, "workers must be >= 1");
+      (cfg.shards >= 1, "shards must be >= 1");
+      (positive cfg.checkpoint_interval, "checkpoint_interval must be positive");
+      (positive cfg.queue_capacity, "queue_capacity must be positive");
+      ( Option.fold ~none:true ~some:(fun d -> d > 0.) cfg.batch_timeout,
+        "batch_timeout must be positive" );
+      ((not repl) || cfg.shards = 1, "replication requires shards = 1");
+      ((not repl) || cfg.journal_path <> None, "replication requires a journal");
+      ( (not repl) || cfg.faults.Faults.crash_at_cycle = None,
+        "crash fault is incompatible with replication (use pcrash)" );
+      ( repl || cfg.faults.Faults.pcrash_at_cycle = None,
+        "pcrash fault requires a replication session" );
+    ]
+  in
+  match (Spec.validate cfg.spec, Faults.validate cfg.faults) with
+  | Error m, _ -> Error m
+  | _, Error m -> Error ("faults: " ^ m)
+  | Ok (), Ok () -> (
+    match List.find_opt (fun (ok, _) -> not ok) checks with
+    | Some (_, m) -> Error m
+    | None -> Ok ())
+
+type handle = {
+  lane_schedulers : Scheduler.t array;
+  shard_of : int -> int option;
+  merged_rte : Request.t list;
+  merged_execution_order : (int * int) list;
+}
+
+let run_sharded (cfg : config) =
+  (match validate cfg with
   | Ok () -> ()
-  | Error m -> invalid_arg ("Middleware.run: " ^ m));
-  (match Faults.validate cfg.faults with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Middleware.run: faults: " ^ m));
-  if cfg.max_retries < 0 then
-    invalid_arg "Middleware.run: max_retries must be non-negative";
-  if cfg.workers < 1 then invalid_arg "Middleware.run: workers must be >= 1";
-  if cfg.shards < 1 then invalid_arg "Middleware.run: shards must be >= 1";
-  (match cfg.checkpoint_interval with
-  | Some n when n <= 0 ->
-    invalid_arg "Middleware.run: checkpoint_interval must be positive"
-  | _ -> ());
-  (match cfg.deadline_factor with
-  | Some f when f <= 0. ->
-    invalid_arg "Middleware.run: deadline_factor must be positive"
-  | _ -> ());
-  (match cfg.repl with
-  | Some _ ->
-    if cfg.shards > 1 then
-      invalid_arg "Middleware.run: replication requires shards = 1";
-    if cfg.journal_path = None then
-      invalid_arg "Middleware.run: replication requires a journal";
-    if cfg.faults.Faults.crash_at_cycle <> None then
-      invalid_arg
-        "Middleware.run: crash fault is incompatible with replication (use \
-         pcrash)"
-  | None ->
-    if cfg.faults.Faults.pcrash_at_cycle <> None then
-      invalid_arg "Middleware.run: pcrash fault requires a replication session");
+  | Error m -> invalid_arg ("Middleware.run_sharded: " ^ m));
   let engine = Engine.create () in
   Option.iter
     (fun tr -> Ds_obs.Trace.set_clock tr (fun () -> Engine.now engine))
@@ -1007,6 +983,10 @@ let run_sim (cfg : config) =
           g)
     else None
   in
+  let store =
+    match cfg.metrics with Some m -> m | None -> Ds_obs.Metrics.create ()
+  in
+  let since = Ds_obs.Metrics.mark store in
   let lanes =
     Array.init n_lanes (fun i ->
         let journal =
@@ -1016,7 +996,9 @@ let run_sim (cfg : config) =
         in
         {
           lane_id = i;
-          pool = Ds_server.Worker_pool.create engine cfg.cost ~workers:cfg.workers;
+          pool =
+            Ds_server.Worker_pool.create engine Ds_server.Cost_model.default
+              ~workers:cfg.workers;
           sched = build_scheduler cfg ~stamp:stamp_hook journal;
           journal;
           journal_path = lane_paths.(i);
@@ -1069,7 +1051,6 @@ let run_sim (cfg : config) =
       ta_counter = 0;
       req_counter = 0;
       deliveries = 0;
-      committed_txns = 0;
       committed_stmts = 0;
       aborted_txns = 0;
       fail_streaks = Hashtbl.create 16;
@@ -1086,12 +1067,7 @@ let run_sim (cfg : config) =
       recovery_replayed = 0;
       recovery_skipped = 0;
       recovery_time = 0.;
-      cycle_times = Ds_stats.Summary.create ();
-      cycle_times_hist = Ds_stats.Histogram.create ();
-      batch_sizes = Ds_stats.Summary.create ();
-      pending_sizes = Ds_stats.Summary.create ();
-      latencies = Ds_stats.Histogram.create ();
-      tier_latencies = Hashtbl.create 4;
+      store;
     }
   in
   (* Split the fault stream after clients and sim.rng so no-fault runs keep
@@ -1099,14 +1075,10 @@ let run_sim (cfg : config) =
   Array.iter
     (fun lane ->
       Ds_server.Worker_pool.set_trace lane.pool cfg.trace;
-      (* Supervision deadlines: explicit factor wins; otherwise armed with a
-         conservative default only when the plan injects worker faults (so
-         fault-free runs keep their exact event timing). *)
-      (match cfg.deadline_factor with
-      | Some f -> Ds_server.Worker_pool.set_deadline_factor lane.pool (Some f)
-      | None ->
-        if Faults.has_worker_faults cfg.faults then
-          Ds_server.Worker_pool.set_deadline_factor lane.pool (Some 4.0));
+      (* Supervision deadlines are armed only when the plan injects worker
+         faults, so fault-free runs keep their exact event timing. *)
+      if Faults.has_worker_faults cfg.faults then
+        Ds_server.Worker_pool.set_deadline_factor lane.pool (Some 4.0);
       if cfg.hedging then Ds_server.Worker_pool.set_hedging lane.pool true;
       if cfg.workers > 1 then
         (* Supervisor decisions land in the [supervision] relation and the
@@ -1230,37 +1202,30 @@ let run_sim (cfg : config) =
     cfg.repl;
   let repl_final = Option.map (fun h -> h.repl_status ()) cfg.repl in
   let sum_pools f = Array.fold_left (fun acc l -> acc + f l.pool) 0 sim.lanes in
-  let makespans =
-    if n_lanes = 1 then Ds_server.Worker_pool.makespans sim.lanes.(0).pool
-    else begin
-      let merged = Ds_stats.Histogram.create () in
-      Array.iter
-        (fun l ->
-          Ds_stats.Histogram.merge_into ~dst:merged
-            (Ds_server.Worker_pool.makespans l.pool))
-        sim.lanes;
-      merged
-    end
+  let makespans = Ds_stats.Histogram.create () in
+  Array.iter
+    (fun l ->
+      Ds_stats.Histogram.merge_into ~dst:makespans
+        (Ds_server.Worker_pool.makespans l.pool))
+    sim.lanes;
+  let parallel =
+    {
+      Ds_obs.Metrics.workers = cfg.workers;
+      batches = sum_pools Ds_server.Worker_pool.batch_count;
+      makespan_mean = Ds_stats.Histogram.mean makespans;
+      makespan_p95 = Ds_stats.Histogram.p95 makespans;
+      makespan_max = Ds_stats.Histogram.max_observed makespans;
+      per_worker =
+        List.concat_map
+          (fun l ->
+            List.map
+              (fun (worker, executed, busy, utilization) ->
+                { Ds_obs.Metrics.worker; executed; busy; utilization })
+              (Ds_server.Worker_pool.worker_stats l.pool))
+          (Array.to_list sim.lanes);
+    }
   in
-  Option.iter
-    (fun m ->
-      Ds_obs.Metrics.set_parallel m
-        {
-          Ds_obs.Metrics.workers = cfg.workers;
-          batches = sum_pools Ds_server.Worker_pool.batch_count;
-          makespan_mean = Ds_stats.Histogram.mean makespans;
-          makespan_p95 = Ds_stats.Histogram.p95 makespans;
-          makespan_max = Ds_stats.Histogram.max_observed makespans;
-          per_worker =
-            List.concat_map
-              (fun l ->
-                List.map
-                  (fun (worker, executed, busy, utilization) ->
-                    { Ds_obs.Metrics.worker; executed; busy; utilization })
-                  (Ds_server.Worker_pool.worker_stats l.pool))
-              (Array.to_list sim.lanes);
-        })
-    cfg.metrics;
+  Ds_obs.Metrics.set_parallel store parallel;
   let checkpoints =
     sim.checkpoints_acc
     + Array.fold_left
@@ -1272,40 +1237,6 @@ let run_sim (cfg : config) =
           | None -> 0)
         0 sim.lanes
   in
-  Option.iter
-    (fun m ->
-      Ds_obs.Metrics.set_supervision m
-        {
-          Ds_obs.Metrics.worker_crashes =
-            sum_pools Ds_server.Worker_pool.worker_crashes;
-          worker_deaths = sum_pools Ds_server.Worker_pool.worker_deaths;
-          stalls_detected =
-            sum_pools Ds_server.Worker_pool.worker_stalls_detected;
-          reassigned = sum_pools Ds_server.Worker_pool.reassigned_classes;
-          hedged = sum_pools Ds_server.Worker_pool.hedged_classes;
-          checkpoints;
-          recoveries = sim.crashes;
-          recovery_replayed = sim.recovery_replayed;
-          recovery_skipped = sim.recovery_skipped;
-          recovery_time = sim.recovery_time;
-        })
-    cfg.metrics;
-  Option.iter
-    (fun m ->
-      match repl_final with
-      | None -> ()
-      | Some s ->
-        Ds_obs.Metrics.set_replication m
-          {
-            Ds_obs.Metrics.repl_sync = s.rs_sync;
-            repl_epoch = s.rs_epoch;
-            repl_watermark = s.rs_watermark;
-            repl_lag = s.rs_lag;
-            repl_fenced = s.rs_fenced;
-            repl_divergences = s.rs_divergences;
-            repl_failovers = sim.failovers;
-          })
-    cfg.metrics;
   Array.iter (fun l -> Option.iter Journal.close l.journal) sim.lanes;
   if auto_journal then
     Option.iter
@@ -1320,26 +1251,53 @@ let run_sim (cfg : config) =
           with Sys_error _ | Failure _ -> ())
         else try Sys.remove p with Sys_error _ -> ())
       journal_path;
-  let tiers =
-    Hashtbl.fold
-      (fun tier (hist, count) acc ->
-        (tier, Ds_stats.Histogram.mean hist, Ds_stats.Histogram.p95 hist, !count)
-        :: acc)
-      sim.tier_latencies []
-    |> List.sort (fun (a, _, _, _) (b, _, _, _) -> Sla.compare_urgency { Sla.premium with tier = a } { Sla.premium with tier = b })
+  (* This run's rows of the store, folded in recording order. *)
+  let cycle_rows = Ds_obs.Metrics.cycles ~since store in
+  let commits = Ds_obs.Metrics.latencies ~since store in
+  let summary f =
+    let s = Ds_stats.Summary.create () in
+    List.iter (fun r -> Ds_stats.Summary.add s (f r)) cycle_rows;
+    s
   in
-  ( {
-      committed_txns = sim.committed_txns;
+  let histogram xs =
+    let h = Ds_stats.Histogram.create () in
+    List.iter (Ds_stats.Histogram.add h) xs;
+    h
+  in
+  let cycle_times = summary (fun r -> r.Ds_obs.Metrics.time) in
+  let cycle_times_hist =
+    histogram (List.map (fun r -> r.Ds_obs.Metrics.time) cycle_rows)
+  in
+  let latencies = histogram (List.map snd commits) in
+  let tiers =
+    List.filter_map
+      (fun (name, h) ->
+        Option.map
+          (fun tier ->
+            ( tier,
+              Ds_stats.Histogram.mean h,
+              Ds_stats.Histogram.p95 h,
+              Ds_stats.Histogram.count h ))
+          (Sla.tier_of_string name))
+      (Ds_obs.Metrics.tier_histograms commits)
+  in
+  let stats =
+    {
+      committed_txns = List.length commits;
       committed_stmts = sim.committed_stmts;
       aborted_txns = sim.aborted_txns;
       cycles = sim.cycles_done;
-      mean_cycle_time = Ds_stats.Summary.mean sim.cycle_times;
-      p95_cycle_time = Ds_stats.Histogram.p95 sim.cycle_times_hist;
-      mean_batch = Ds_stats.Summary.mean sim.batch_sizes;
-      mean_pending = Ds_stats.Summary.mean sim.pending_sizes;
-      scheduler_time = Ds_stats.Summary.sum sim.cycle_times;
-      mean_txn_latency = Ds_stats.Histogram.mean sim.latencies;
-      p95_txn_latency = Ds_stats.Histogram.p95 sim.latencies;
+      mean_cycle_time = Ds_stats.Summary.mean cycle_times;
+      p95_cycle_time = Ds_stats.Histogram.p95 cycle_times_hist;
+      mean_batch =
+        Ds_stats.Summary.mean
+          (summary (fun r -> float_of_int r.Ds_obs.Metrics.qualified));
+      mean_pending =
+        Ds_stats.Summary.mean
+          (summary (fun r -> float_of_int r.Ds_obs.Metrics.pending_before));
+      scheduler_time = Ds_stats.Summary.sum cycle_times;
+      mean_txn_latency = Ds_stats.Histogram.mean latencies;
+      p95_txn_latency = Ds_stats.Histogram.p95 latencies;
       latency_by_tier = tiers;
       retries = sim.retries;
       timeouts = sim.timeouts;
@@ -1353,9 +1311,9 @@ let run_sim (cfg : config) =
       disconnects = sim.disconnects;
       crashes = sim.crashes;
       workers = cfg.workers;
-      batches_dispatched = sum_pools Ds_server.Worker_pool.batch_count;
-      mean_batch_makespan = Ds_stats.Histogram.mean makespans;
-      p95_batch_makespan = Ds_stats.Histogram.p95 makespans;
+      batches_dispatched = parallel.Ds_obs.Metrics.batches;
+      mean_batch_makespan = parallel.Ds_obs.Metrics.makespan_mean;
+      p95_batch_makespan = parallel.Ds_obs.Metrics.makespan_p95;
       worker_crashes = sum_pools Ds_server.Worker_pool.worker_crashes;
       worker_deaths = sum_pools Ds_server.Worker_pool.worker_deaths;
       worker_stalls = sum_pools Ds_server.Worker_pool.worker_stalls_detected;
@@ -1377,73 +1335,37 @@ let run_sim (cfg : config) =
       repl_fenced = (match repl_final with Some s -> s.rs_fenced | None -> 0);
       repl_divergences =
         (match repl_final with Some s -> s.rs_divergences | None -> 0);
-    },
-    sim )
-
-let run_full (cfg : config) =
-  if cfg.shards > 1 then
-    invalid_arg "Middleware.run_full: shards > 1 requires run_sharded";
-  let stats, sim = run_sim cfg in
-  (stats, sim.lanes.(0).sched)
-
-let run cfg = fst (run_sim cfg)
-
-type handle = {
-  lane_schedulers : Scheduler.t array;
-  shard_of : int -> int option;
-  merged_rte : Request.t list;
-  merged_execution_order : (int * int) list;
-}
-
-let run_sharded (cfg : config) =
-  let stats, sim = run_sim cfg in
-  let lane_schedulers = Array.map (fun l -> l.sched) sim.lanes in
-  let shard_of ta = Hashtbl.find_opt sim.route_of ta in
+    }
+  in
+  let rels l = Scheduler.relations l.sched in
+  let lanes = Array.to_list sim.lanes in
+  (* The per-lane rte logs interleave by admission stamp: every executed
+     request was qualified, hence stamped, so the merge reconstructs the one
+     global admission order the stamp hook handed out. At S=1 nothing is
+     stamped and the stable sort keeps the lane's own order. *)
   let merged_rte =
-    if Array.length sim.lanes = 1 then
-      Relations.rte_requests (Scheduler.relations sim.lanes.(0).sched)
-    else
-      (* The per-lane rte logs interleave by admission stamp: every executed
-         request was qualified, hence stamped, so the merge reconstructs the
-         one global admission order the stamp hook handed out. *)
-      Array.to_list sim.lanes
-      |> List.concat_map (fun l ->
-             Relations.rte_requests (Scheduler.relations l.sched))
-      |> List.map (fun (r : Request.t) ->
-             ( (match Hashtbl.find_opt sim.stamps (Request.key r) with
-               | Some g -> g
-               | None -> max_int),
-               r ))
-      |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-      |> List.map snd
+    List.concat_map (fun l -> Relations.rte_requests (rels l)) lanes
+    |> List.map (fun (r : Request.t) ->
+           ( Option.value ~default:max_int
+               (Hashtbl.find_opt sim.stamps (Request.key r)),
+             r ))
+    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
   in
+  (* Delivery positions come from the run-global [sim.deliveries] counter,
+     so sorting the union of per-lane deliveries by position is the actual
+     cross-lane delivery order. *)
   let merged_execution_order =
-    if Array.length sim.lanes = 1 then
-      Relations.execution_order (Scheduler.relations sim.lanes.(0).sched)
-    else
-      (* Delivery positions come from the run-global [sim.deliveries]
-         counter, so sorting the union of per-lane assignment rows by [pos]
-         is the actual cross-lane delivery order. *)
-      Array.to_list sim.lanes
-      |> List.concat_map (fun l ->
-             List.filter_map
-               (fun row ->
-                 match row with
-                 | [|
-                     _;
-                     _;
-                     _;
-                     Ds_relal.Value.Int ta;
-                     Ds_relal.Value.Int intrata;
-                     Ds_relal.Value.Int pos;
-                   |] ->
-                   Some (pos, (ta, intrata))
-                 | _ -> None)
-               (Relations.table_facts (Scheduler.relations l.sched) "assignment"))
-      |> List.sort compare
-      |> List.map snd
+    List.concat_map (fun l -> Relations.deliveries (rels l)) lanes
+    |> List.sort compare |> List.map snd
   in
-  (stats, { lane_schedulers; shard_of; merged_rte; merged_execution_order })
+  ( stats,
+    {
+      lane_schedulers = Array.map (fun l -> l.sched) sim.lanes;
+      shard_of = (fun ta -> Hashtbl.find_opt sim.route_of ta);
+      merged_rte;
+      merged_execution_order;
+    } )
 
 let delivered h =
   let by_key = Hashtbl.create (2 * List.length h.merged_rte) in

@@ -3,7 +3,8 @@
     incoming queue, a trigger periodically fires the scheduler cycle, and
     qualified requests are executed by the server as a batch with its own
     scheduling disabled. Results return to the clients, which then submit
-    their next request (closed loop).
+    their next request (closed loop). {!run_sharded} is the one entry point,
+    for every configuration; {!validate} checks a configuration up front.
 
     Scheduler cycles run for real on the embedded relational engine; the
     measured wall-clock time of each cycle is charged to the simulated clock
@@ -24,7 +25,8 @@
     middleware degrades gracefully rather than wedging:
 
     - a failed batch retries its unexecuted suffix after capped exponential
-      backoff with jitter, charged to the simulated clock;
+      backoff with jitter (base 0.01 s, ceiling 0.5 s), charged to the
+      simulated clock;
     - an optional per-batch timeout ([batch_timeout]) abandons a stalled
       attempt and goes through the same retry path;
     - a request that keeps failing ([max_retries] exceeded) is dead-lettered
@@ -44,8 +46,10 @@
     - with [workers > 1], injected {e worker} faults (crash, permanent
       death, stall) are survived by the pool supervisor: unstarted conflict
       classes move to surviving workers, stragglers are detected against
-      per-class execution deadlines and optionally hedged, and every
-      decision is logged in the [supervision] relation and the trace.
+      per-class execution deadlines (4x the class's modeled cost, armed
+      only when the plan injects worker faults, so fault-free runs keep
+      their exact event timing) and optionally hedged, and every decision
+      is logged in the [supervision] relation and the trace.
 
     {2 Sharding}
 
@@ -70,9 +74,15 @@
     {!Ds_check.Equivalence.check_sharded} verifies it, including that no
     conflicting pair was ever split across two shard lanes.
 
-    [shards = 1] (default) is bit-identical to the historical
-    single-scheduler middleware: one lane, no stamps, no barrier, and a
-    plain single-file journal. *)
+    [shards = 1] (default) is the single-scheduler middleware: one lane, no
+    stamps, no barrier, and a plain single-file journal.
+
+    {2 Statistics}
+
+    Every scheduler cycle and every commit is recorded once, as a row of a
+    {!Ds_obs.Metrics.t} counter store ([metrics], or a private store); the
+    commit count and the cycle, batch and latency fields of {!stats} are
+    computed from the rows the run recorded. *)
 
 open Ds_model
 open Ds_workload
@@ -120,7 +130,6 @@ type config = {
   n_clients : int;
   duration : float;  (** virtual seconds *)
   spec : Spec.t;
-  cost : Ds_server.Cost_model.t;
   workers : int;
       (** simulated worker backends; with [workers > 1] each admitted batch
           is split into conflict classes and executed as overlapping
@@ -143,8 +152,6 @@ type config = {
   passthrough : bool;  (** non-scheduling mode (§3.3) *)
   faults : Faults.plan;  (** fault plan ({!Faults.none} = fault-free) *)
   max_retries : int;  (** per-request transient-failure budget before dead-letter *)
-  retry_base : float;  (** backoff base in virtual seconds *)
-  retry_cap : float;  (** backoff ceiling in virtual seconds *)
   batch_timeout : float option;  (** per-batch-attempt timeout ([None] = off) *)
   queue_capacity : int option;  (** incoming-queue bound ([None] = unbounded) *)
   journal_path : string option;
@@ -154,13 +161,6 @@ type config = {
       (** write a journal checkpoint block every N cycles (requires a
           journal to have any effect); recovery then replays only the suffix
           since the last snapshot. [None] (default) = never checkpoint. *)
-  deadline_factor : float option;
-      (** per-class execution deadline as a multiple of the class's modeled
-          cost; a worker that overruns it is declared stuck and its queue is
-          reassigned (see {!Ds_server.Worker_pool.set_deadline_factor}).
-          [None] (default) arms a conservative factor of [4.0] only when the
-          fault plan injects worker faults, so fault-free runs keep their
-          exact event timing. *)
   hedging : bool;
       (** race a duplicate of an overdue class on a surviving worker;
           deliveries are deduplicated first-wins (off by default) *)
@@ -178,11 +178,20 @@ type config = {
           middleware; its clock is set to the simulation's virtual clock.
           [None] (default) records nothing and adds no work. *)
   metrics : Ds_obs.Metrics.t option;
-      (** online metrics: per-SLA-tier commit latency histograms and
-          per-cycle scheduler rows. [None] (default) records nothing. *)
+      (** the counter store the run records into: one row per scheduler
+          cycle, one per commit, and the parallel-backend summary. A store
+          shared by several runs accumulates their rows; each run's
+          {!stats} read only its own. [None] (default) records into a
+          private store. *)
 }
 
 val default_config : config
+
+(** [Error msg] names the first field out of range or the first
+    inconsistent combination (replication needs [shards = 1] and a journal,
+    and excludes the [crash] fault; [pcrash] needs replication).
+    {!run_sharded} raises [Invalid_argument] on it. *)
+val validate : config -> (unit, string) result
 
 type stats = {
   committed_txns : int;
@@ -238,15 +247,7 @@ type stats = {
   repl_divergences : int;  (** checkpoint-hash mismatches detected *)
 }
 
-val run : config -> stats
-
-(** Like {!run}, also returning the scheduler so callers can inspect the
-    relations afterwards (e.g. the [rte] execution log). Only valid for
-    [shards = 1] configs; raises [Invalid_argument] otherwise — sharded runs
-    go through {!run_sharded}, which exposes every lane. *)
-val run_full : config -> stats * Scheduler.t
-
-(** Post-run inspection surface of a (possibly) sharded run. *)
+(** Post-run inspection surface of a run. *)
 type handle = {
   lane_schedulers : Scheduler.t array;
       (** lane [i]'s scheduler; index [shards] is the global lane. A single
@@ -265,8 +266,9 @@ type handle = {
           run-global position column) *)
 }
 
-(** {!run} for any [shards >= 1], returning the lanes and the merged
-    cross-shard artifacts for checking. *)
+(** Runs the simulation for any [shards >= 1], returning its statistics,
+    the lanes and the merged cross-shard artifacts for checking.
+    @raise Invalid_argument when {!validate} rejects the config. *)
 val run_sharded : config -> stats * handle
 
 (** The delivered schedule: [merged_execution_order] resolved against

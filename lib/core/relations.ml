@@ -332,8 +332,6 @@ let prune_history t =
 let rte_requests t =
   List.map (request_of_row ~extended:t.extended) (Table.rows t.rte)
 
-let rte_count t = Table.row_count t.rte
-
 let insert_rte t rs =
   Table.insert_many t.rte (List.map (row_of_request ~extended:t.extended) rs)
 
@@ -386,37 +384,26 @@ let record_supervision t ~cycle ~worker ~event ~cls =
   Table.insert t.supervision
     [| Value.Int cycle; Value.Int worker; Value.Str event; Value.Int cls |]
 
-let supervision_count t = Table.row_count t.supervision
-
 let record_replication t ~cycle ~epoch ~watermark ~lag =
   Table.insert t.replication
     [| Value.Int cycle; Value.Int epoch; Value.Int watermark; Value.Int lag |]
-
-let replication_count t = Table.row_count t.replication
 
 let record_failover t ~epoch ~cycle ~reason =
   Table.insert t.failover
     [| Value.Int epoch; Value.Int cycle; Value.Str reason |]
 
-let failover_count t = Table.row_count t.failover
+let deliveries t =
+  List.filter_map
+    (fun row ->
+      match (row.(3), row.(4), row.(5)) with
+      | Value.Int ta, Value.Int intrata, Value.Int pos ->
+        Some (pos, (ta, intrata))
+      | _ -> None)
+    (Table.rows t.assignment)
 
 (* The merged parallel schedule: assignment rows by delivery position. The
    checker compares this against [rte] order for conflict equivalence. *)
-let execution_order t =
-  let rows =
-    List.sort
-      (fun a b ->
-        match (a.(5), b.(5)) with
-        | Value.Int pa, Value.Int pb -> compare pa pb
-        | _ -> 0)
-      (Table.rows t.assignment)
-  in
-  List.filter_map
-    (fun row ->
-      match (row.(3), row.(4)) with
-      | Value.Int ta, Value.Int intrata -> Some (ta, intrata)
-      | _ -> None)
-    rows
+let execution_order t = List.sort compare (deliveries t) |> List.map snd
 
 let table_facts t name =
   match name with

@@ -92,8 +92,6 @@ val prune_history : t -> int
     [ds_check] correctness tooling. *)
 val rte_requests : t -> Request.t list
 
-val rte_count : t -> int
-
 (** Appends rows to [rte] without touching [requests] (used by tests). *)
 val insert_rte : t -> Request.t list -> unit
 
@@ -121,19 +119,13 @@ val assignment_count : t -> int
 val record_supervision :
   t -> cycle:int -> worker:int -> event:string -> cls:int -> unit
 
-val supervision_count : t -> int
-
 (** Logs one replication-progress row ([lag] = primary journal length minus
     acked watermark). *)
 val record_replication :
   t -> cycle:int -> epoch:int -> watermark:int -> lag:int -> unit
 
-val replication_count : t -> int
-
 (** Logs one standby promotion into [failover]. *)
 val record_failover : t -> epoch:int -> cycle:int -> reason:string -> unit
-
-val failover_count : t -> int
 
 (** [register_shards t ~shards] (re)populates the [shards] relation: rows
     [(0,0) .. (S-1,S-1)] — lane [s] owns object group [s] — plus the global
@@ -147,6 +139,10 @@ val shard_count : t -> int
 val record_shard_assignment : t -> cycle:int -> shard:int -> ta:int -> unit
 
 val shard_assignment_count : t -> int
+
+(** [(pos, (ta, intrata))] per [assignment] row, in table order: each
+    delivered request with its delivery position. *)
+val deliveries : t -> (int * (int * int)) list
 
 (** The merged parallel schedule as [(ta, intrata)] keys, sorted by the
     [pos] column — the delivery order across all workers, which the checker

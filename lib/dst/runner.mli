@@ -1,5 +1,5 @@
 (** Executes one scenario through the {e real} middleware / scheduler /
-    worker-pool / journal stack (no mocks: {!Ds_core.Middleware.run_full}
+    worker-pool / journal stack (no mocks: {!Ds_core.Middleware.run_sharded}
     with a live write-ahead journal and a lifecycle trace sink), then applies
     the complete {!Invariant} battery to what the run left behind.
 

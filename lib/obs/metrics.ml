@@ -1,5 +1,6 @@
 type cycle_row = {
   cycle : int;
+  time : float;
   drained : int;
   pending_before : int;
   qualified : int;
@@ -24,75 +25,42 @@ type parallel = {
   per_worker : worker_row list;
 }
 
-type supervision = {
-  worker_crashes : int;
-  worker_deaths : int;
-  stalls_detected : int;
-  reassigned : int;
-  hedged : int;
-  checkpoints : int;
-  recoveries : int;
-  recovery_replayed : int;
-  recovery_skipped : int;
-  recovery_time : float;
-}
-
-type replication = {
-  repl_sync : bool;
-  repl_epoch : int;
-  repl_watermark : int;
-  repl_lag : int;
-  repl_fenced : int;
-  repl_divergences : int;
-  repl_failovers : int;
-}
-
 type t = {
-  tiers : (string, Ds_stats.Histogram.t) Hashtbl.t;
+  commit_rows : (string * float) Ds_util.Vec.t;
   cycle_rows : cycle_row Ds_util.Vec.t;
-  mutable n_cycles : int;
   mutable parallel : parallel option;
-  mutable supervision : supervision option;
-  mutable replication : replication option;
 }
 
 let create () =
   {
-    tiers = Hashtbl.create 4;
+    commit_rows = Ds_util.Vec.create ();
     cycle_rows = Ds_util.Vec.create ();
-    n_cycles = 0;
     parallel = None;
-    supervision = None;
-    replication = None;
   }
 
 let set_parallel t p = t.parallel <- Some p
 
 let parallel t = t.parallel
 
-let set_supervision t s = t.supervision <- Some s
+type mark = int * int
 
-let supervision t = t.supervision
+let mark t =
+  (Ds_util.Vec.length t.cycle_rows, Ds_util.Vec.length t.commit_rows)
 
-let set_replication t r = t.replication <- Some r
+let rows_from v i =
+  List.init (Ds_util.Vec.length v - i) (fun k -> Ds_util.Vec.get v (i + k))
 
-let replication t = t.replication
+let observe_latency t ~tier dt = Ds_util.Vec.push t.commit_rows (tier, dt)
 
-let tier_hist t tier =
-  match Hashtbl.find_opt t.tiers tier with
-  | Some h -> h
-  | None ->
-    let h = Ds_stats.Histogram.create () in
-    Hashtbl.add t.tiers tier h;
-    h
+let latencies ?since t =
+  rows_from t.commit_rows (Option.fold ~none:0 ~some:snd since)
 
-let observe_latency t ~tier dt = Ds_stats.Histogram.add (tier_hist t tier) dt
-
-let record_cycle t ~drained ~pending_before ~qualified ~query_time
+let record_cycle t ~time ~drained ~pending_before ~qualified ~query_time
     ?(index_time = 0.) () =
   let row =
     {
-      cycle = t.n_cycles;
+      cycle = Ds_util.Vec.length t.cycle_rows;
+      time;
       drained;
       pending_before;
       qualified;
@@ -104,8 +72,10 @@ let record_cycle t ~drained ~pending_before ~qualified ~query_time
       index_time;
     }
   in
-  t.n_cycles <- t.n_cycles + 1;
   Ds_util.Vec.push t.cycle_rows row
+
+let cycles ?since t =
+  rows_from t.cycle_rows (Option.fold ~none:0 ~some:fst since)
 
 (* Premium, standard, free first (urgency order); anything else after,
    alphabetically, so custom tier labels still render deterministically. *)
@@ -117,26 +87,34 @@ let tier_rank tier =
   in
   match List.assoc_opt tier known with Some i -> (i, "") | None -> (max_int, tier)
 
-let sort_tiers rows =
-  List.sort
-    (fun (a, _, _, _, _) (b, _, _, _, _) -> compare (tier_rank a) (tier_rank b))
-    rows
+let tier_histograms rows =
+  let tiers = Hashtbl.create 4 in
+  List.iter
+    (fun (tier, dt) ->
+      let h =
+        match Hashtbl.find_opt tiers tier with
+        | Some h -> h
+        | None ->
+          let h = Ds_stats.Histogram.create () in
+          Hashtbl.add tiers tier h;
+          h
+      in
+      Ds_stats.Histogram.add h dt)
+    rows;
+  Hashtbl.fold (fun tier h acc -> (tier, h) :: acc) tiers []
+  |> List.sort (fun (a, _) (b, _) -> compare (tier_rank a) (tier_rank b))
 
-let tier_quantiles t =
-  Hashtbl.fold
-    (fun tier h acc ->
-      if Ds_stats.Histogram.count h = 0 then acc
-      else
-        ( tier,
-          Ds_stats.Histogram.count h,
-          Ds_stats.Histogram.median h,
-          Ds_stats.Histogram.p95 h,
-          Ds_stats.Histogram.p99 h )
-        :: acc)
-    t.tiers []
-  |> sort_tiers
+let quantiles rows =
+  List.map
+    (fun (tier, h) ->
+      ( tier,
+        Ds_stats.Histogram.count h,
+        Ds_stats.Histogram.median h,
+        Ds_stats.Histogram.p95 h,
+        Ds_stats.Histogram.p99 h ))
+    (tier_histograms rows)
 
-let cycles t = Ds_util.Vec.to_list t.cycle_rows
+let tier_quantiles t = quantiles (latencies t)
 
 let render_latency_rows rows =
   let buf = Buffer.create 256 in
@@ -191,30 +169,6 @@ let render t =
              (Printf.sprintf "worker %d" w.worker)
              w.executed w.busy w.utilization))
       p.per_worker);
-  (match t.supervision with
-  | None -> ()
-  | Some s ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         "supervision: crashes=%d deaths=%d stuck=%d reassigned=%d hedged=%d\n"
-         s.worker_crashes s.worker_deaths s.stalls_detected s.reassigned
-         s.hedged);
-    Buffer.add_string buf
-      (Printf.sprintf
-         "recovery: checkpoints=%d recoveries=%d replayed=%d skipped=%d \
-          time=%.3fms\n"
-         s.checkpoints s.recoveries s.recovery_replayed s.recovery_skipped
-         (1000. *. s.recovery_time)));
-  (match t.replication with
-  | None -> ()
-  | Some r ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         "replication (%s): epoch=%d watermark=%d lag=%d fenced=%d \
-          divergences=%d failovers=%d\n"
-         (if r.repl_sync then "sync" else "async")
-         r.repl_epoch r.repl_watermark r.repl_lag r.repl_fenced
-         r.repl_divergences r.repl_failovers));
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -226,11 +180,7 @@ let latencies_of_events events =
   |> List.filter_map (fun (tree : Span.tree) ->
          Option.map (fun l -> (tree.Span.tier, l)) (Span.latency tree))
 
-let latency_rows events =
-  let t = create () in
-  List.iter (fun (tier, l) -> observe_latency t ~tier l)
-    (latencies_of_events events);
-  tier_quantiles t
+let latency_rows events = quantiles (latencies_of_events events)
 
 let lock_wait_offenders ?(top = 10) events =
   (* open waits keyed by (ta, seq, obj); totals keyed by obj *)

@@ -1,14 +1,17 @@
 (** Tiered latency metrics and per-cycle scheduler metrics.
 
-    A {!t} is an online accumulator fed by the middleware loop: request
-    latencies bucketed per SLA tier (one {!Ds_stats.Histogram} each) plus one
-    {!cycle_row} per scheduler cycle (drain size, admit ratio, query-eval
-    time). The [*_of_events] functions are the offline counterpart used by
-    [dsched trace]: they recompute the same latency views from a loaded
-    event list. *)
+    A {!t} is the middleware's counter store: one row per committed
+    transaction (its SLA tier and latency) and one {!cycle_row} per
+    scheduler cycle (cycle time, drain size, admit ratio, query-eval time),
+    in the order they happened. The middleware's end-of-run statistics are
+    computed from these rows; latency quantiles come from per-tier
+    {!Ds_stats.Histogram}s built over them. The [*_of_events] functions are
+    the offline counterpart used by [dsched trace]: they recompute the same
+    latency views from a loaded event list. *)
 
 type cycle_row = {
   cycle : int;
+  time : float;  (** seconds of the whole cycle (the sum of its phase times) *)
   drained : int;  (** requests moved from the incoming queue to [pending] *)
   pending_before : int;  (** pending size when qualification started *)
   qualified : int;  (** requests admitted this cycle *)
@@ -37,51 +40,30 @@ type parallel = {
   per_worker : worker_row list;
 }
 
-(** Worker-supervision and recovery summary set once at end of run by the
-    middleware: worker faults handled by the pool supervisor, journal
-    checkpointing and crash-recovery totals. *)
-type supervision = {
-  worker_crashes : int;  (** workers crashed between classes (rejoin next batch) *)
-  worker_deaths : int;  (** workers removed permanently *)
-  stalls_detected : int;  (** classes that overran their execution deadline *)
-  reassigned : int;  (** conflict classes moved to a surviving worker *)
-  hedged : int;  (** duplicate executions raced against stragglers *)
-  checkpoints : int;  (** journal snapshot blocks written *)
-  recoveries : int;  (** middleware crashes recovered from the journal *)
-  recovery_replayed : int;  (** journal lines replayed across all recoveries *)
-  recovery_skipped : int;  (** journal lines skipped thanks to checkpoints *)
-  recovery_time : float;  (** total wall-clock seconds spent recovering *)
-}
-
-(** Hot-standby replication summary set once at end of run by the
-    middleware when a standby was attached (see {!Ds_core.Middleware}). *)
-type replication = {
-  repl_sync : bool;  (** commit acks gated on the watermark *)
-  repl_epoch : int;  (** final promotion epoch (0 = never failed over) *)
-  repl_watermark : int;  (** highest contiguous LSN the standby applied *)
-  repl_lag : int;  (** primary LSN minus watermark at end of run *)
-  repl_fenced : int;  (** stale-epoch records refused after promotion *)
-  repl_divergences : int;  (** checkpoint state-hash mismatches *)
-  repl_failovers : int;  (** standby promotions during the run *)
-}
-
 type t
 
 val create : unit -> t
 
 val set_parallel : t -> parallel -> unit
 val parallel : t -> parallel option
-val set_supervision : t -> supervision -> unit
-val supervision : t -> supervision option
-val set_replication : t -> replication -> unit
-val replication : t -> replication option
 
-(** [observe_latency t ~tier dt] adds one request latency (seconds) to the
-    tier's histogram. *)
+(** The rows recorded so far. A run that shares a store with earlier runs
+    reads its own rows as those recorded since its mark. *)
+type mark
+
+val mark : t -> mark
+
+(** [observe_latency t ~tier dt] records one committed transaction's latency
+    (seconds). *)
 val observe_latency : t -> tier:string -> float -> unit
+
+(** [(tier, seconds)] per recorded commit, in recording order; with
+    [~since], only those recorded after that mark. *)
+val latencies : ?since:mark -> t -> (string * float) list
 
 val record_cycle :
   t ->
+  time:float ->
   drained:int ->
   pending_before:int ->
   qualified:int ->
@@ -90,16 +72,22 @@ val record_cycle :
   unit ->
   unit
 
-(** [(tier, n, p50, p95, p99)] per tier with at least one sample, in SLA
-    urgency order (premium, standard, free), unknown tiers last. *)
+(** One histogram per tier over [(tier, seconds)] samples, in SLA urgency
+    order (premium, standard, free), unknown tiers last. *)
+val tier_histograms :
+  (string * float) list -> (string * Ds_stats.Histogram.t) list
+
+(** [(tier, n, p50, p95, p99)] per tier with at least one sample, in the
+    order of {!tier_histograms}. *)
 val tier_quantiles : t -> (string * int * float * float * float) list
 
-val cycles : t -> cycle_row list
+(** The cycle rows in recording order; with [~since], only those recorded
+    after that mark. *)
+val cycles : ?since:mark -> t -> cycle_row list
 
 (** Human-readable report: the tier table, cycle aggregates, and — when
-    {!set_parallel} / {!set_supervision} / {!set_replication} were called —
-    batch makespans with a per-worker utilization table, the
-    supervision/recovery summary, and the replication summary. *)
+    {!set_parallel} was called — batch makespans with a per-worker
+    utilization table. *)
 val render : t -> string
 
 (** Per-transaction latencies from a trace: [(tier, seconds)] for every TA

@@ -267,7 +267,8 @@ let middleware_cfg ~seed ~protocol =
   }
 
 let check_middleware ~seed ~protocol =
-  let stats, sched = Middleware.run_full (middleware_cfg ~seed ~protocol) in
+  let stats, h = Middleware.run_sharded (middleware_cfg ~seed ~protocol) in
+  let sched = h.Middleware.lane_schedulers.(0) in
   let report =
     Serializability.check_committed
       (Conflict_graph.events_of_requests

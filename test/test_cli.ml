@@ -1,7 +1,8 @@
 (* CLI argument validation: the strict positive-int converter behind
-   --checkpoint and --shards (the --workers treatment from the checkpoint
-   PR), and the replication flag preconditions. These run the real dsched
-   binary — the tests execute from _build/default/test, next to bin/. *)
+   --checkpoint, --shards, --clients and --queue-cap, the config checks of
+   Middleware.validate, and the replication flag preconditions. These run
+   the real dsched binary — the tests execute from _build/default/test,
+   next to bin/. *)
 
 let dsched_exe = Filename.concat ".." (Filename.concat "bin" "dsched.exe")
 
@@ -20,14 +21,21 @@ let contains ~needle haystack =
   let rec at i = i + nn <= nh && (String.sub haystack i nn = needle || at (i + 1)) in
   nn = 0 || at 0
 
-let check_rejected ~flag ~needle args =
+let check_rejected ?exit ~flag ~needle args =
   let code, text = dsched args in
-  Alcotest.(check bool)
-    (Printf.sprintf "%s rejected (exit %d)" flag code)
-    true (code <> 0);
+  (match exit with
+  | Some e -> Alcotest.(check int) (flag ^ " exit code") e code
+  | None ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%s rejected (exit %d)" flag code)
+      true (code <> 0));
   Alcotest.(check bool)
     (Printf.sprintf "%s error mentions %S (got: %s)" flag needle text)
-    true (contains ~needle text)
+    true (contains ~needle text);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s is not an uncaught exception (got: %s)" flag text)
+    false
+    (contains ~needle:"internal error" text)
 
 let test_checkpoint_rejects_nonpositive () =
   check_rejected ~flag:"--checkpoint 0" ~needle:"--checkpoint must be positive"
@@ -51,6 +59,23 @@ let test_shards_rejects_nonnumeric () =
     ~needle:"--shards must be a positive integer"
     "run --duration 0.1 --shards many"
 
+let test_clients_queue_cap_reject_nonpositive () =
+  check_rejected ~flag:"--clients -1" ~needle:"--clients must be positive"
+    "run --duration 0.1 --clients=-1";
+  check_rejected ~flag:"--queue-cap 0" ~needle:"--queue-cap must be positive"
+    "run --duration 0.1 --queue-cap=0"
+
+(* Values the parser accepts but the middleware cannot run with: a message
+   and exit 2, not an uncaught Invalid_argument. *)
+let test_config_rejected_with_message () =
+  List.iter
+    (fun (flag, needle) ->
+      check_rejected ~exit:2 ~flag ~needle ("run --duration 0.1 " ^ flag))
+    [
+      ("--batch-timeout=-1", "batch_timeout must be positive");
+      ("--max-retries=-1", "max_retries must be non-negative");
+    ]
+
 let test_repl_flag_preconditions () =
   (* The standby needs a primary journal to mirror, and a fault plan for the
      link needs a standby to run it against. *)
@@ -71,4 +96,8 @@ let tests =
       test_shards_rejects_nonnumeric;
     Alcotest.test_case "replication flags validate their prerequisites" `Quick
       test_repl_flag_preconditions;
+    Alcotest.test_case "--clients, --queue-cap reject non-positive" `Quick
+      test_clients_queue_cap_reject_nonpositive;
+    Alcotest.test_case "out-of-range config exits 2 with a message" `Quick
+      test_config_rejected_with_message;
   ]

@@ -144,21 +144,22 @@ let test_backend_hook_stall () =
 (* --- retry/backoff and dead-lettering ------------------------------------ *)
 
 let test_transient_failures_retried () =
-  let s = Middleware.run (cfg ~faults:(plan_exn "batch=0.1") ()) in
+  let s, _ = Middleware.run_sharded (cfg ~faults:(plan_exn "batch=0.1") ()) in
   Alcotest.(check bool) "failures injected" true (s.Middleware.injected_failures > 0);
   Alcotest.(check bool) "batches retried" true (s.Middleware.retries > 0);
   Alcotest.(check bool) "work still commits" true (s.Middleware.committed_txns > 0)
 
 let test_stalls_trip_timeout () =
-  let s = Middleware.run (cfg ~faults:(plan_exn "stall=0.2,stall-dur=2.0") ()) in
+  let s, _ =
+    Middleware.run_sharded (cfg ~faults:(plan_exn "stall=0.2,stall-dur=2.0") ())
+  in
   Alcotest.(check bool) "stalls injected" true (s.Middleware.injected_stalls > 0);
   Alcotest.(check bool) "timeouts fired" true (s.Middleware.timeouts > 0);
   Alcotest.(check bool) "work still commits" true (s.Middleware.committed_txns > 0)
 
 let test_poison_dead_lettered () =
-  let s, sched =
-    Middleware.run_full (cfg ~faults:(plan_exn "poison=0.02") ())
-  in
+  let s, h = Middleware.run_sharded (cfg ~faults:(plan_exn "poison=0.02") ()) in
+  let sched = h.Middleware.lane_schedulers.(0) in
   let rels = Scheduler.relations sched in
   Alcotest.(check bool) "poison gave up on" true (s.Middleware.dead_lettered > 0);
   Alcotest.(check int) "dead relation matches the counter"
@@ -206,8 +207,8 @@ let test_retries_beat_no_retries () =
      transactions than a no-retry build of the same run (where every
      transient failure aborts the transaction outright). *)
   let base = cfg ~faults:(plan_exn "batch=0.15,crash=40") ~duration:10. () in
-  let with_retry = Middleware.run base in
-  let without = Middleware.run { base with Middleware.max_retries = 0 } in
+  let with_retry, _ = Middleware.run_sharded base in
+  let without, _ = Middleware.run_sharded { base with Middleware.max_retries = 0 } in
   Alcotest.(check bool) "crash survived" true (with_retry.Middleware.crashes = 1);
   Alcotest.(check bool)
     (Printf.sprintf "retries commit strictly more (%d > %d)"
@@ -224,7 +225,7 @@ let test_bounded_queue_sheds_by_tier () =
       Middleware.queue_capacity = Some 4;
     }
   in
-  let s = Middleware.run config in
+  let s, _ = Middleware.run_sharded config in
   Alcotest.(check bool) "backpressure applied" true
     (s.Middleware.backpressure_waits > 0);
   Alcotest.(check bool) "least urgent work shed" true (s.Middleware.shed_txns > 0);
@@ -276,7 +277,7 @@ let test_shed_tie_break_is_most_recent () =
 (* --- client disconnects --------------------------------------------------- *)
 
 let test_disconnects_cleaned_up () =
-  let s = Middleware.run (cfg ~faults:(plan_exn "disconnect=0.3") ()) in
+  let s, _ = Middleware.run_sharded (cfg ~faults:(plan_exn "disconnect=0.3") ()) in
   Alcotest.(check bool) "disconnects injected" true (s.Middleware.disconnects > 0);
   Alcotest.(check bool) "their transactions aborted" true
     (s.Middleware.aborted_txns >= s.Middleware.disconnects);
@@ -304,7 +305,8 @@ let crash_cfg path =
 
 let test_crash_recovery_end_to_end () =
   with_tmp_journal (fun path ->
-      let s, sched = Middleware.run_full (crash_cfg path) in
+      let s, h = Middleware.run_sharded (crash_cfg path) in
+      let sched = h.Middleware.lane_schedulers.(0) in
       Alcotest.(check int) "one crash survived" 1 s.Middleware.crashes;
       Alcotest.(check bool) "run continued past the crash" true
         (s.Middleware.committed_txns > 0);
@@ -333,7 +335,8 @@ let test_crash_recovery_deterministic () =
      the simulation decides must not. *)
   let run () =
     with_tmp_journal (fun path ->
-        let s, sched = Middleware.run_full (crash_cfg path) in
+        let s, h = Middleware.run_sharded (crash_cfg path) in
+        let sched = h.Middleware.lane_schedulers.(0) in
         let rte =
           List.map Request.key (Relations.rte_requests (Scheduler.relations sched))
         in
@@ -366,12 +369,12 @@ let test_fault_free_runs_unchanged () =
   (* The robustness machinery must be invisible when the plan is zero: a
      default-config run and a run with every fault knob present but the
      plan [Faults.none] produce identical schedules. *)
-  let plain =
-    Middleware.run
+  let plain, _ =
+    Middleware.run_sharded
       { Middleware.default_config with Middleware.charge_scheduler_time = false }
   in
-  let armed =
-    Middleware.run
+  let armed, _ =
+    Middleware.run_sharded
       {
         Middleware.default_config with
         Middleware.charge_scheduler_time = false;
@@ -430,7 +433,8 @@ let test_parallel_faults_end_to_end () =
 let test_parallel_crash_recovery () =
   with_tmp_journal (fun path ->
       let config = { (crash_cfg path) with Middleware.workers = 4 } in
-      let s, sched = Middleware.run_full config in
+      let s, h = Middleware.run_sharded config in
+      let sched = h.Middleware.lane_schedulers.(0) in
       Alcotest.(check int) "one crash survived" 1 s.Middleware.crashes;
       Alcotest.(check bool) "run continued past the crash" true
         (s.Middleware.committed_txns > 0);
@@ -466,7 +470,8 @@ let test_worker_faults_checkpoint_deterministic () =
             hedging = true;
           }
         in
-        let s, sched = Middleware.run_full config in
+        let s, h = Middleware.run_sharded config in
+        let sched = h.Middleware.lane_schedulers.(0) in
         let rte =
           List.map Request.key
             (Relations.rte_requests (Scheduler.relations sched))

@@ -21,7 +21,7 @@ let cfg ?(protocol = Builtin.ss2pl_ocaml) ?(n_clients = 15) ?(duration = 3.) () 
   }
 
 let test_middleware_progress () =
-  let s = Middleware.run (cfg ()) in
+  let s, _ = Middleware.run_sharded (cfg ()) in
   Alcotest.(check bool) "commits happen" true (s.Middleware.committed_txns > 0);
   Alcotest.(check bool) "cycles ran" true (s.Middleware.cycles > 0);
   Alcotest.(check int) "stmts per txn" (s.Middleware.committed_txns * 40)
@@ -39,7 +39,8 @@ let test_middleware_serializable_execution () =
       starvation_cycles = 20;
     }
   in
-  let _, sched = Middleware.run_full config in
+  let _, h = Middleware.run_sharded config in
+  let sched = h.Middleware.lane_schedulers.(0) in
   (* Extract the executed schedule from the rte table. Starvation-aborted
      transactions never reached the server in full, but their executed
      prefixes held logical locks, so they participate in the check. *)
@@ -63,16 +64,16 @@ let test_middleware_serializable_execution () =
     Alcotest.failf "middleware produced conflict cycle between %d and %d" a b
 
 let test_middleware_determinism () =
-  let a = Middleware.run (cfg ()) in
-  let b = Middleware.run (cfg ()) in
+  let a, _ = Middleware.run_sharded (cfg ()) in
+  let b, _ = Middleware.run_sharded (cfg ()) in
   Alcotest.(check int) "same commits" a.Middleware.committed_txns
     b.Middleware.committed_txns;
   Alcotest.(check int) "same cycles" a.Middleware.cycles b.Middleware.cycles
 
 let test_middleware_passthrough_faster () =
-  let strict = Middleware.run (cfg ~protocol:Builtin.ss2pl_ocaml ()) in
-  let pass =
-    Middleware.run { (cfg ()) with Middleware.passthrough = true }
+  let strict, _ = Middleware.run_sharded (cfg ~protocol:Builtin.ss2pl_ocaml ()) in
+  let pass, _ =
+    Middleware.run_sharded { (cfg ()) with Middleware.passthrough = true }
   in
   Alcotest.(check bool) "passthrough at least as fast" true
     (pass.Middleware.committed_txns >= strict.Middleware.committed_txns);
@@ -83,12 +84,12 @@ let test_middleware_relaxed_beats_strict_under_contention () =
     { small_spec with Ds_workload.Spec.n_objects = 150 }
   in
   let base = cfg ~n_clients:20 ~duration:2.5 () in
-  let strict =
-    Middleware.run
+  let strict, _ =
+    Middleware.run_sharded
       { base with Middleware.spec = contended; protocol = Builtin.ss2pl_ocaml }
   in
-  let relaxed =
-    Middleware.run
+  let relaxed, _ =
+    Middleware.run_sharded
       {
         base with
         Middleware.spec = contended;
@@ -117,7 +118,7 @@ let test_middleware_sla_tiers () =
       extended_relations = true;
     }
   in
-  let s = Middleware.run config in
+  let s, _ = Middleware.run_sharded config in
   match
     ( List.find_opt (fun (t, _, _, _) -> t = Sla.Premium) s.Middleware.latency_by_tier,
       List.find_opt (fun (t, _, _, _) -> t = Sla.Free) s.Middleware.latency_by_tier )
@@ -134,7 +135,9 @@ let test_trigger_policies_complete () =
   (* All trigger policies make progress. *)
   List.iter
     (fun trigger ->
-      let s = Middleware.run { (cfg ~duration:2. ()) with Middleware.trigger } in
+      let s, _ =
+        Middleware.run_sharded { (cfg ~duration:2. ()) with Middleware.trigger }
+      in
       Alcotest.(check bool)
         (Format.asprintf "progress under %a" Trigger.pp trigger)
         true
@@ -153,8 +156,8 @@ let test_fill_trigger_never_wedges () =
      The fallback tick is deliberately slow (50ms), so a 40-statement
      transaction needs ~2 virtual seconds end to end — give the run enough
      time for several. *)
-  let s =
-    Middleware.run
+  let s, _ =
+    Middleware.run_sharded
       { (cfg ~duration:8. ()) with Middleware.trigger = Trigger.Fill_level 50 }
   in
   Alcotest.(check bool) "cycles fired despite unreachable fill level" true
@@ -167,11 +170,12 @@ let test_middleware_intrinsic_aborts () =
      and the system keeps making progress. *)
   let spec = { small_spec with Ds_workload.Spec.abort_fraction = 0.5 } in
   let config = { (cfg ~n_clients:10 ~duration:3. ()) with Middleware.spec } in
-  let s, sched = Middleware.run_full config in
+  let s, h = Middleware.run_sharded config in
+  let sched = h.Middleware.lane_schedulers.(0) in
   Alcotest.(check bool) "still commits" true (s.Middleware.committed_txns > 0);
   (* Roughly half the finished transactions aborted: commits should be well
      below what a 0-abort run achieves. *)
-  let no_aborts = Middleware.run (cfg ~n_clients:10 ~duration:3. ()) in
+  let no_aborts, _ = Middleware.run_sharded (cfg ~n_clients:10 ~duration:3. ()) in
   Alcotest.(check bool) "fewer commits with aborts" true
     (s.Middleware.committed_txns < no_aborts.Middleware.committed_txns);
   (* Abort markers made it into the execution log. *)
@@ -194,15 +198,16 @@ let test_middleware_adaptive_under_load () =
       starvation_cycles = 25;
     }
   in
-  let strict =
-    Middleware.run { base with Middleware.protocol = Builtin.ss2pl_ocaml }
+  let strict, _ =
+    Middleware.run_sharded { base with Middleware.protocol = Builtin.ss2pl_ocaml }
   in
   let adaptive =
     Adaptive.make ~strict:Builtin.ss2pl_ocaml
       ~relaxed:Builtin.read_committed_sql ~high_watermark:10 ~low_watermark:3 ()
   in
-  let s =
-    Middleware.run { base with Middleware.protocol = Adaptive.protocol adaptive }
+  let s, _ =
+    Middleware.run_sharded
+      { base with Middleware.protocol = Adaptive.protocol adaptive }
   in
   Alcotest.(check bool) "switched at least once" true
     (Adaptive.switches adaptive > 0);

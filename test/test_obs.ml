@@ -200,7 +200,7 @@ let mw_config ?(faults = Faults.none) ?(seed = 42) ?trace ?metrics () =
 
 let traced_run ?faults ?seed () =
   let tr = Trace.create () in
-  let stats = Middleware.run (mw_config ?faults ?seed ~trace:tr ()) in
+  let stats, _ = Middleware.run_sharded (mw_config ?faults ?seed ~trace:tr ()) in
   (stats, Trace.events tr)
 
 let test_middleware_trace_valid () =
@@ -282,10 +282,11 @@ let deterministic (s : Middleware.stats) =
     Middleware.mean_cycle_time = 0.;
     p95_cycle_time = 0.;
     scheduler_time = 0.;
+    recovery_time = 0.;
   }
 
 let test_no_observer_effect () =
-  let plain = Middleware.run (mw_config ~faults:chaos_plan ()) in
+  let plain, _ = Middleware.run_sharded (mw_config ~faults:chaos_plan ()) in
   let traced, events = traced_run ~faults:chaos_plan () in
   Alcotest.(check bool) "tracing changes nothing" true
     (deterministic plain = deterministic traced);
@@ -294,9 +295,9 @@ let test_no_observer_effect () =
 let test_disabled_sink_full_run () =
   (* The overhead regression: a disabled sink through a whole run records
      zero events and leaves the stats untouched. *)
-  let plain = Middleware.run (mw_config ()) in
+  let plain, _ = Middleware.run_sharded (mw_config ()) in
   let tr = Trace.create ~enabled:false () in
-  let gated = Middleware.run (mw_config ~trace:tr ()) in
+  let gated, _ = Middleware.run_sharded (mw_config ~trace:tr ()) in
   Alcotest.(check int) "no events" 0 (Trace.count tr);
   Alcotest.(check bool) "identical stats" true
     (deterministic plain = deterministic gated)
@@ -355,9 +356,7 @@ let test_traces_relation () =
 
 let test_metrics_online () =
   let m = Metrics.create () in
-  let stats =
-    Middleware.run (mw_config ~metrics:m ())
-  in
+  let stats, _ = Middleware.run_sharded (mw_config ~metrics:m ()) in
   let cycle_rows = Metrics.cycles m in
   Alcotest.(check int) "row per cycle" stats.Middleware.cycles
     (List.length cycle_rows);
@@ -378,12 +377,52 @@ let test_metrics_online () =
       rows);
   Alcotest.(check bool) "render" true (String.length (Metrics.render m) > 0)
 
+(* The stats come from the run's rows of its counter store, wherever that
+   store lives: a private one ([metrics = None]), the caller's, or the
+   caller's already holding an earlier run's rows. *)
+let test_stats_from_any_store () =
+  List.iter
+    (fun (label, cfg) ->
+      let private_, _ = Middleware.run_sharded cfg in
+      Alcotest.(check bool) (label ^ ": commits") true
+        (private_.Middleware.committed_txns > 0);
+      let m = Metrics.create () in
+      let first, _ =
+        Middleware.run_sharded { cfg with Middleware.metrics = Some m }
+      in
+      let again, _ =
+        Middleware.run_sharded { cfg with Middleware.metrics = Some m }
+      in
+      Alcotest.(check bool)
+        (label ^ ": caller's store, same stats")
+        true
+        (deterministic private_ = deterministic first);
+      Alcotest.(check bool)
+        (label ^ ": shared store, same stats")
+        true
+        (deterministic private_ = deterministic again);
+      Alcotest.(check int)
+        (label ^ ": both runs' cycles in the store")
+        (2 * private_.Middleware.cycles)
+        (List.length (Metrics.cycles m)))
+    [
+      ("S=1", mw_config ());
+      ( "S=2 faulted",
+        {
+          (mw_config
+             ~faults:{ chaos_plan with Faults.crash_at_cycle = Some 30 }
+             ())
+          with
+          Middleware.shards = 2;
+        } );
+    ]
+
 let test_metrics_offline_agrees () =
   (* Online tier histograms and the offline trace-derived view measure the
      same latencies: same tiers, same sample counts. *)
   let m = Metrics.create () in
   let tr = Trace.create () in
-  let _ = Middleware.run (mw_config ~trace:tr ~metrics:m ()) in
+  let _ = Middleware.run_sharded (mw_config ~trace:tr ~metrics:m ()) in
   let online = Metrics.tier_quantiles m in
   let offline = Metrics.latency_rows (Trace.events tr) in
   let shape rows = List.map (fun (tier, n, _, _, _) -> (tier, n)) rows in
@@ -472,6 +511,8 @@ let tests =
     Alcotest.test_case "export files" `Quick test_export_files;
     Alcotest.test_case "traces relation" `Quick test_traces_relation;
     Alcotest.test_case "metrics online" `Quick test_metrics_online;
+    Alcotest.test_case "stats from any counter store" `Quick
+      test_stats_from_any_store;
     Alcotest.test_case "metrics offline agrees" `Quick
       test_metrics_offline_agrees;
     Alcotest.test_case "lock wait offenders" `Quick test_lock_wait_offenders;

@@ -50,7 +50,7 @@ let with_session_run ?faults ?trace ~mode ~plan f =
           Middleware.repl = Some (Session.hooks session);
         }
       in
-      let stats = Middleware.run config in
+      let stats, _ = Middleware.run_sharded config in
       Session.close session;
       f ~stats ~session ~dir)
 
@@ -193,8 +193,8 @@ let test_checkpoints_counted_across_restarts () =
   Fun.protect
     ~finally:(fun () -> rm_f journal)
     (fun () ->
-      let stats =
-        Middleware.run
+      let stats, _ =
+        Middleware.run_sharded
           (cfg ~trace
              ~faults:{ Faults.none with Faults.crash_at_cycle = Some 35 }
              ~journal_path:journal ())

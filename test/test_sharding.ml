@@ -54,24 +54,15 @@ let check_serializable rte =
     Alcotest.failf "merged rte not serializable: %a"
       Ds_check.Serializability.pp_report report
 
-(* shards=1 must be the single-scheduler middleware, bit for bit: same
-   deterministic counters, same rte sequence, same delivery order. *)
+(* At shards=1 the stamp-merged views of the handle must be the single
+   lane's own, bit for bit: same rte sequence, same delivery order. *)
 let test_s1_identity () =
-  let stats_a, sched = Middleware.run_full (cfg ()) in
-  let stats_b, h = Middleware.run_sharded (cfg ()) in
-  Alcotest.(check int) "committed" stats_a.Middleware.committed_txns
-    stats_b.Middleware.committed_txns;
-  Alcotest.(check int) "stmts" stats_a.Middleware.committed_stmts
-    stats_b.Middleware.committed_stmts;
-  Alcotest.(check int) "aborted" stats_a.Middleware.aborted_txns
-    stats_b.Middleware.aborted_txns;
-  Alcotest.(check int) "cycles" stats_a.Middleware.cycles
-    stats_b.Middleware.cycles;
+  let stats, h = Middleware.run_sharded (cfg ()) in
   Alcotest.(check int) "one lane" 1
     (Array.length h.Middleware.lane_schedulers);
-  Alcotest.(check int) "no global traffic" 0 stats_b.Middleware.global_lane_txns;
-  Alcotest.(check int) "no deferrals" 0 stats_b.Middleware.shard_deferrals;
-  let rels = Scheduler.relations sched in
+  Alcotest.(check int) "no global traffic" 0 stats.Middleware.global_lane_txns;
+  Alcotest.(check int) "no deferrals" 0 stats.Middleware.shard_deferrals;
+  let rels = Scheduler.relations h.Middleware.lane_schedulers.(0) in
   Alcotest.(check (list (pair int int)))
     "identical rte"
     (keys (Relations.rte_requests rels))
@@ -80,11 +71,6 @@ let test_s1_identity () =
     "identical delivery order"
     (Relations.execution_order rels)
     h.Middleware.merged_execution_order
-
-let test_run_full_rejects_shards () =
-  Alcotest.check_raises "run_full refuses shards > 1"
-    (Invalid_argument "Middleware.run_full: shards > 1 requires run_sharded")
-    (fun () -> ignore (Middleware.run_full (cfg ~shards:2 ())))
 
 (* A perfectly partitioned workload (groups = shards, no escapes) routes
    every transaction to its home shard lane; the global lane stays idle. *)
@@ -264,9 +250,8 @@ let test_segment_dir_layout () =
 
 let tests =
   [
-    Alcotest.test_case "S=1 identical to run_full" `Quick test_s1_identity;
-    Alcotest.test_case "run_full rejects shards>1" `Quick
-      test_run_full_rejects_shards;
+    Alcotest.test_case "S=1 merged views are the lane's own" `Quick
+      test_s1_identity;
     Alcotest.test_case "partitioned workload routes by group" `Quick
       test_partitioned_routing;
     Alcotest.test_case "mixed traffic crosses the barrier" `Quick
