@@ -181,6 +181,46 @@ let probe p clients proto =
     { Overhead_probe.default_setup with Overhead_probe.n_clients = clients }
     proto
 
+(* Heap words a call allocates, as (minor, promoted) means over [calls]
+   calls after one warm-up call. [Gc.minor_words] is exact; the promoted
+   count only moves at minor collections, hence the mean. *)
+type words = { minor : float; promoted : float }
+
+let alloc_per_call ~calls f =
+  f ();
+  let m0 = Gc.minor_words () and _, p0, _ = Gc.counters () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  let m1 = Gc.minor_words () and _, p1, _ = Gc.counters () in
+  let n = float_of_int calls in
+  { minor = (m1 -. m0) /. n; promoted = (p1 -. p0) /. n }
+
+(* [proto] with the heap words of each protocol evaluation added to [acc]
+   (its call count in [calls]). *)
+let counting_words proto ~acc ~calls =
+  {
+    proto with
+    Protocol.prepare =
+      (fun rels ->
+        let qualify = proto.Protocol.prepare rels in
+        fun () ->
+          let m0 = Gc.minor_words () and _, p0, _ = Gc.counters () in
+          let keys = qualify () in
+          let m1 = Gc.minor_words () and _, p1, _ = Gc.counters () in
+          acc := { minor = !acc.minor +. m1 -. m0; promoted = !acc.promoted +. p1 -. p0 };
+          incr calls;
+          keys);
+  }
+
+let alloc_cols get =
+  [
+    float ~head:"minor kw/run" ~scale:1e-3 "minor_words" "%.1f" (fun r ->
+        (get r).minor);
+    float ~head:"promoted kw/run" ~scale:1e-3 "promoted_words" "%.1f" (fun r ->
+        (get r).promoted);
+  ]
+
 let spec20k = { Spec.paper_default with Spec.n_objects = 20_000 }
 
 let mw_cfg ?(protocol = Builtin.ss2pl_ocaml)
@@ -452,8 +492,10 @@ let listing1_micro =
     let plan =
       Ds_sql.Exec.prepare ~optimize:level rels.Relations.catalog Queries.ss2pl
     in
-    Bechamel.Test.make ~name
-      (Bechamel.Staged.stage (fun () -> ignore (Ds_sql.Exec.run_plan plan)))
+    let run () = ignore (Ds_sql.Exec.run_plan plan) in
+    (* The unoptimized plans take seconds per evaluation. *)
+    let words = alloc_per_call ~calls:(if level = `None then 2 else 50) run in
+    (Bechamel.Test.make ~name (Bechamel.Staged.stage run), words)
   in
   let estimate test =
     let open Bechamel in
@@ -474,20 +516,23 @@ let listing1_micro =
   in
   let points =
     emit
-      (List.concat_map estimate
+      (List.concat_map
+         (fun (test, words) ->
+           List.map (fun (name, ms) -> (name, ms, words)) (estimate test))
          [
            make_test `None "ss2pl-noopt";
            make_test `Basic "ss2pl-basic";
            make_test `Full "ss2pl-full";
          ])
-      [
-        str ~head:"plan" "plan" fst;
-        col ~head:"ms/run" "ms_per_run"
-          (fun (_, ms) ->
-            Option.fold ~none:"(no estimate)" ~some:(Printf.sprintf "%.3f") ms)
-          (fun (_, ms) ->
-            Option.fold ~none:Json.Null ~some:(fun v -> Json.Num v) ms);
-      ]
+      ([
+         str ~head:"plan" "plan" (fun (name, _, _) -> name);
+         col ~head:"ms/run" "ms_per_run"
+           (fun (_, ms, _) ->
+             Option.fold ~none:"(no estimate)" ~some:(Printf.sprintf "%.3f") ms)
+           (fun (_, ms, _) ->
+             Option.fold ~none:Json.Null ~some:(fun v -> Json.Num v) ms);
+       ]
+      @ alloc_cols (fun (_, _, words) -> words))
   in
   report ~seed:42 [ ("clients", num_i clients) ] points
 
@@ -583,34 +628,43 @@ let optimizer_ablation =
     "Ablation A2: optimizer level for Listing 1 (same declarative spec, \
      different plans)"
   @@ fun p ->
-  let time ?(indexes = true) c level =
+  let run c (plan, level, indexes) =
     let saved = !Ds_relal.Eval.use_table_indexes in
     Ds_relal.Eval.use_table_indexes := indexes;
-    let m = probe p c (Builtin.ss2pl_sql_at level) in
+    let acc = ref { minor = 0.; promoted = 0. } and calls = ref 0 in
+    let m =
+      probe p c (counting_words (Builtin.ss2pl_sql_at level) ~acc ~calls)
+    in
     Ds_relal.Eval.use_table_indexes := saved;
-    1000. *. m.Overhead_probe.query_time
+    let n = float_of_int (max 1 !calls) in
+    ( c,
+      plan,
+      1000. *. m.Overhead_probe.query_time,
+      { minor = !acc.minor /. n; promoted = !acc.promoted /. n } )
   in
   let points =
     emit
-      (List.map
+      (List.concat_map
          (fun c ->
-           let noopt = time c `None in
-           let basic = time c `Basic in
-           let full = time c `Full in
-           (c, [| noopt; basic; full; time ~indexes:false c `Full |]))
+           List.map (run c)
+             [
+               ("no-opt", `None, true);
+               ("basic", `Basic, true);
+               ("full", `Full, true);
+               ("full, no index", `Full, false);
+             ])
          [ 50; 150; 300 ])
-      (timings_cols
-         [
-           ("no-opt (ms)", "noopt_ms");
-           ("basic (ms)", "basic_ms");
-           ("full (ms)", "full_ms");
-           ("full, no index (ms)", "full_noindex_ms");
-         ])
+      ([
+         int ~head:"clients" "clients" (fun (c, _, _, _) -> c);
+         str ~head:"plan" "plan" (fun (_, plan, _, _) -> plan);
+         float ~head:"query (ms)" "query_ms" "%.2f" (fun (_, _, ms, _) -> ms);
+       ]
+      @ alloc_cols (fun (_, _, _, words) -> words))
   in
   note
-    "The specification is identical in all three columns; only plan \
-     rewriting differs (the paper's 1 'optimization without affecting the \
-     scheduler specification').";
+    "The specification is identical in every row; only plan rewriting \
+     differs (the paper's 1 'optimization without affecting the scheduler \
+     specification').";
   report (by_runs p) points
 
 let relaxed_consistency =

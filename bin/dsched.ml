@@ -331,13 +331,6 @@ let run_cmd =
       prerr_endline "run: --standby needs --journal (there is nothing to replicate)";
       exit 2
     | Some _ -> ());
-    let session =
-      Option.map
-        (fun dir ->
-          Ds_replica.Session.create ~mode:repl_mode ~plan:repl_faults ~seed
-            ?trace:sink ~dir ())
-        standby
-    in
     let cfg =
       {
         Middleware.default_config with
@@ -361,7 +354,7 @@ let run_cmd =
         checkpoint_interval = checkpoint;
         hedging = hedge;
         client_redo = faulty;
-        repl = Option.map Ds_replica.Session.hooks session;
+        repl = None;
         trace = sink;
         metrics = mets;
         (* Wall-clock cycle charging is non-deterministic; fault runs must
@@ -371,12 +364,21 @@ let run_cmd =
            else Middleware.default_config.Middleware.charge_scheduler_time);
       }
     in
-    (match Middleware.validate cfg with
+    (* Validate before the standby session exists: creating it makes the
+       directory and replaces any standby journal already in it. *)
+    (match Middleware.validate ~replicated:(standby <> None) cfg with
     | Ok () -> ()
     | Error m ->
-      Option.iter Ds_replica.Session.close session;
       prerr_endline ("run: " ^ m);
       exit 2);
+    let session =
+      Option.map
+        (fun dir ->
+          Ds_replica.Session.create ~mode:repl_mode ~plan:repl_faults ~seed
+            ?trace:sink ~dir ())
+        standby
+    in
+    let cfg = { cfg with Middleware.repl = Option.map Ds_replica.Session.hooks session } in
     if faulty then
       Format.printf "fault plan: %a (seed %d)@." Faults.pp_plan faults seed;
     let s, h = Middleware.run_sharded cfg in

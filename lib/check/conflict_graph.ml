@@ -67,19 +67,46 @@ let conflict_kind a b =
   | Op.Read, Op.Write -> Some Rw
   | _ -> None
 
-let build events =
+let data_op_object (e : event) =
+  match e.obj with Some o when Op.is_data e.op -> Some o | _ -> None
+
+let all_events (_ : event) = true
+
+let data_ops_by_object ?(keep = all_events) events =
+  let is_op e = keep e && data_op_object e <> None in
+  match List.find_opt is_op events with
+  | None -> [||]
+  | Some first ->
+    let ops =
+      Array.make (List.fold_left (fun n e -> if is_op e then n + 1 else n) 0 events) first
+    in
+    let i = ref 0 in
+    List.iter
+      (fun e ->
+        if is_op e then begin
+          ops.(!i) <- e;
+          incr i
+        end)
+      events;
+    let obj e = Option.get (data_op_object e) in
+    Array.stable_sort (fun a b -> Int.compare (obj a) (obj b)) ops;
+    ops
+
+let iter_objects f (ops : event array) =
+  let n = Array.length ops in
+  let obj k = Option.get ops.(k).obj in
+  let i = ref 0 in
+  while !i < n do
+    let o = obj !i in
+    let j = ref (!i + 1) in
+    while !j < n && obj !j = o do incr j done;
+    f o ops !i !j;
+    i := !j
+  done
+
+let build_grouped ?(keep = all_events) events by_obj =
   let nodes = Hashtbl.create 64 in
-  let by_obj : (int, event list ref) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      Hashtbl.replace nodes e.ta ();
-      match e.obj with
-      | Some o when Op.is_data e.op -> (
-        match Hashtbl.find_opt by_obj o with
-        | Some l -> l := e :: !l
-        | None -> Hashtbl.add by_obj o (ref [ e ]))
-      | _ -> ())
-    events;
+  List.iter (fun (e : event) -> if keep e then Hashtbl.replace nodes e.ta ()) events;
   let edge_tbl = Hashtbl.create 256 in
   let succ = Hashtbl.create 64 in
   let add_edge e =
@@ -101,12 +128,10 @@ let build events =
      just adjacent pairs): the commit-order predicate needs transitive ww
      edges like w1 w2 w3 -> 1->3 as well. Object op lists are short, so the
      quadratic pass is fine for a checker. *)
-  Hashtbl.iter
-    (fun obj l ->
-      let ops = Array.of_list (List.rev !l) in
-      let n = Array.length ops in
-      for i = 0 to n - 1 do
-        for j = i + 1 to n - 1 do
+  iter_objects
+    (fun obj ops first stop ->
+      for i = first to stop - 1 do
+        for j = i + 1 to stop - 1 do
           if ops.(i).ta <> ops.(j).ta then
             match conflict_kind ops.(i).op ops.(j).op with
             | Some kind ->
@@ -127,6 +152,8 @@ let build events =
     Hashtbl.fold (fun ta () acc -> ta :: acc) nodes [] |> List.sort Int.compare
   in
   { node_list; edge_tbl; succ }
+
+let build events = build_grouped events (data_ops_by_object events)
 
 let nodes t = t.node_list
 

@@ -50,6 +50,21 @@ type t
 
 val build : event list -> t
 
+(** The data operations of an event sequence (those satisfying [keep], by
+    default all) in one array, sorted by object; each object's operations
+    form one run, in schedule order. *)
+val data_ops_by_object : ?keep:(event -> bool) -> event list -> event array
+
+(** [iter_objects f ops] calls [f obj ops first stop] for each object's run
+    [ops.(first) .. ops.(stop - 1)] of a {!data_ops_by_object} array, in
+    ascending object order. *)
+val iter_objects : (int -> event array -> int -> int -> unit) -> event array -> unit
+
+(** [build_grouped ~keep events (data_ops_by_object ~keep events)] is
+    [build (List.filter keep events)], for a caller that runs other
+    per-object checks on the same array. *)
+val build_grouped : ?keep:(event -> bool) -> event list -> event array -> t
+
 (** Transactions appearing in the event sequence, ascending. *)
 val nodes : t -> int list
 

@@ -61,7 +61,37 @@ let pp_report ppf r =
 
 (* Abort markers are bookkeeping rows, not executed operations; neither side
    of the comparison should see them. *)
-let executed rs = List.filter (fun r -> not (Request.is_abort_marker r)) rs
+let executed rs =
+  if List.exists Request.is_abort_marker rs then
+    List.filter (fun r -> not (Request.is_abort_marker r)) rs
+  else rs
+
+(* Ints by request key, one array per transaction indexed by INTRATA: a
+   schedule's keys are dense within each transaction, so a key costs about
+   a word here against seven in a hash table of (ta, intrata) tuples. *)
+module Key_slots = struct
+  let absent = min_int
+
+  let create () : (int, int array) Hashtbl.t = Hashtbl.create 64
+
+  let get t (r : Request.t) =
+    match Hashtbl.find t r.Request.ta with
+    | a -> if r.Request.intrata < Array.length a then a.(r.Request.intrata) else absent
+    | exception Not_found -> absent
+
+  let set t (r : Request.t) v =
+    let a = match Hashtbl.find t r.Request.ta with a -> a | exception Not_found -> [||] in
+    let a =
+      if r.Request.intrata < Array.length a then a
+      else begin
+        let b = Array.make (max (r.Request.intrata + 1) (2 * Array.length a)) absent in
+        Array.blit a 0 b 0 (Array.length a);
+        Hashtbl.replace t r.Request.ta b;
+        b
+      end
+    in
+    a.(r.Request.intrata) <- v
+end
 
 (* [shard] is [(s_count, shard_of)] when checking a sharded run: any
    conflicting reference pair whose transactions sit on two {e distinct
@@ -73,87 +103,84 @@ let check_gen ?shard ?(complete = false) ~reference ~candidate () =
   let violations = ref [] in
   let add v = violations := v :: !violations in
   (* Membership discipline: candidate keys are unique and drawn from the
-     reference; with [complete] the multisets must coincide exactly. *)
-  let ref_keys = Hashtbl.create (2 * List.length reference) in
-  List.iter (fun r -> Hashtbl.replace ref_keys (Request.key r) ()) reference;
-  let seen = Hashtbl.create (2 * List.length candidate) in
-  List.iter
-    (fun r ->
+     reference; with [complete] the multisets must coincide exactly. One
+     table serves both sides: a reference key maps to -1 until the
+     candidate delivers it, then to its last candidate position [i]; a key
+     the reference lacks maps to [-2 - i]. *)
+  let slot = Key_slots.create () in
+  List.iter (fun r -> Key_slots.set slot r (-1)) reference;
+  List.iteri
+    (fun i r ->
       let ta, intrata = Request.key r in
-      if Hashtbl.mem seen (ta, intrata) then add (Duplicate_delivery { ta; intrata })
-      else Hashtbl.replace seen (ta, intrata) ();
-      if not (Hashtbl.mem ref_keys (ta, intrata)) then
-        add (Unknown_request { ta; intrata }))
+      let p = Key_slots.get slot r in
+      let known = p <> Key_slots.absent && p >= -1 in
+      if p <> Key_slots.absent && p <> -1 then add (Duplicate_delivery { ta; intrata });
+      if not known then add (Unknown_request { ta; intrata });
+      Key_slots.set slot r (if known then i else -2 - i))
     candidate;
   if complete then
     List.iter
       (fun r ->
-        let ta, intrata = Request.key r in
-        if not (Hashtbl.mem seen (ta, intrata)) then
+        if Key_slots.get slot r = -1 then
+          let ta, intrata = Request.key r in
           add (Missing_request { ta; intrata }))
       reference;
+  let cand_pos r =
+    match Key_slots.get slot r with p when p >= 0 -> Some p | _ -> None
+  in
   (* Order discipline: for every pair of conflicting requests present in
      both schedules, the candidate keeps the reference's relative order.
-     Group by object; read-only prefixes commute so only pairs with at least
-     one write conflict (delegated to {!Request.conflicts}). *)
-  let cand_pos = Hashtbl.create (2 * List.length candidate) in
-  List.iteri (fun i r -> Hashtbl.replace cand_pos (Request.key r) i) candidate;
-  let by_obj : (int, Request.t list ref) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (r : Request.t) ->
-      match r.Request.obj with
-      | None -> ()
-      | Some o ->
-        (match Hashtbl.find_opt by_obj o with
-        | Some l -> l := r :: !l
-        | None -> Hashtbl.add by_obj o (ref [ r ])))
-    reference;
-  let pairs = ref 0 in
-  Hashtbl.iter
-    (fun obj group ->
-      (* in reference order *)
-      let group = List.rev !group in
-      let rec walk = function
-        | [] -> ()
-        | (a : Request.t) :: rest ->
-          List.iter
-            (fun (b : Request.t) ->
-              if Request.conflicts a b then begin
-                incr pairs;
-                (match
-                   ( Hashtbl.find_opt cand_pos (Request.key a),
-                     Hashtbl.find_opt cand_pos (Request.key b) )
-                 with
-                | Some pa, Some pb when pa > pb ->
-                  add
-                    (Conflict_reordered
-                       { obj; first = Request.key a; second = Request.key b })
-                | _ -> ());
-                match shard with
-                | None -> ()
-                | Some (s_count, shard_of) -> (
-                  match
-                    (shard_of a.Request.ta, shard_of b.Request.ta)
-                  with
-                  | Some sa, Some sb
-                    when sa <> sb && sa < s_count && sb < s_count
-                         && a.Request.ta <> b.Request.ta ->
-                    add
-                      (Cross_shard_conflict
-                         {
-                           obj;
-                           first = Request.key a;
-                           second = Request.key b;
-                           shard_a = sa;
-                           shard_b = sb;
-                         })
-                  | _ -> ())
-              end)
-            rest;
-          walk rest
-      in
-      walk group)
+     Group by object (the reference's data requests, stably sorted by
+     object, so each object's requests are one run in reference order);
+     read-only prefixes commute so only pairs with at least one write
+     conflict (delegated to {!Request.conflicts}). *)
+  let by_obj =
+    Array.of_list (List.filter (fun (r : Request.t) -> r.Request.obj <> None) reference)
+  in
+  let obj_of i = Option.get by_obj.(i).Request.obj in
+  Array.stable_sort
+    (fun (a : Request.t) (b : Request.t) ->
+      Int.compare (Option.get a.Request.obj) (Option.get b.Request.obj))
     by_obj;
+  let pairs = ref 0 in
+  let first = ref 0 in
+  while !first < Array.length by_obj do
+    let obj = obj_of !first in
+    let stop = ref (!first + 1) in
+    while !stop < Array.length by_obj && obj_of !stop = obj do incr stop done;
+    for i = !first to !stop - 1 do
+      let a = by_obj.(i) in
+      for j = i + 1 to !stop - 1 do
+        let b = by_obj.(j) in
+        if Request.conflicts a b then begin
+          incr pairs;
+          (match
+             (cand_pos a, cand_pos b)
+           with
+          | Some pa, Some pb when pa > pb ->
+            add (Conflict_reordered { obj; first = Request.key a; second = Request.key b })
+          | _ -> ());
+          match shard with
+          | None -> ()
+          | Some (s_count, shard_of) -> (
+            match (shard_of a.Request.ta, shard_of b.Request.ta) with
+            | Some sa, Some sb
+              when sa <> sb && sa < s_count && sb < s_count && a.Request.ta <> b.Request.ta ->
+              add
+                (Cross_shard_conflict
+                   {
+                     obj;
+                     first = Request.key a;
+                     second = Request.key b;
+                     shard_a = sa;
+                     shard_b = sb;
+                   })
+            | _ -> ())
+        end
+      done
+    done;
+    first := !stop
+  done;
   {
     reference_len = List.length reference;
     candidate_len = List.length candidate;

@@ -14,22 +14,6 @@ type report = {
   violations : violation list;
 }
 
-let data_ops_by_object events =
-  let by_obj : (int, Conflict_graph.event list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  List.iter
-    (fun (e : Conflict_graph.event) ->
-      match e.Conflict_graph.obj with
-      | Some o when Op.is_data e.Conflict_graph.op -> (
-        match Hashtbl.find_opt by_obj o with
-        | Some l -> l := e :: !l
-        | None -> Hashtbl.add by_obj o (ref [ e ]))
-      | _ -> ())
-    events;
-  Hashtbl.fold (fun o l acc -> (o, List.rev !l) :: acc) by_obj []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
 let terminal_lookup events =
   let term = Conflict_graph.terminal_positions events in
   fun ta -> Option.value ~default:max_int (Hashtbl.find_opt term ta)
@@ -39,67 +23,66 @@ let serializable graph =
   | Some cycle -> [ Cycle cycle ]
   | None -> []
 
-let strict events =
-  let term_of = terminal_lookup events in
+let strict_on term_of groups =
   let violations = ref [] in
-  List.iter
-    (fun (obj, ops) ->
+  Conflict_graph.iter_objects
+    (fun obj ops first stop ->
       let last_write = ref None in
-      List.iter
-        (fun (e : Conflict_graph.event) ->
-          (match !last_write with
-          | Some (w : Conflict_graph.event)
-            when w.Conflict_graph.ta <> e.Conflict_graph.ta
-                 && term_of w.Conflict_graph.ta > e.Conflict_graph.pos ->
-            violations :=
-              Dirty_access
-                {
-                  writer = w.Conflict_graph.ta;
-                  accessor = e.Conflict_graph.ta;
-                  obj;
-                  pos = e.Conflict_graph.pos;
-                }
-              :: !violations
-          | _ -> ());
-          if Op.equal e.Conflict_graph.op Op.Write then last_write := Some e)
-        ops)
-    (data_ops_by_object events);
+      for k = first to stop - 1 do
+        let e = ops.(k) in
+        (match !last_write with
+        | Some (w : Conflict_graph.event)
+          when w.Conflict_graph.ta <> e.Conflict_graph.ta
+               && term_of w.Conflict_graph.ta > e.Conflict_graph.pos ->
+          violations :=
+            Dirty_access
+              {
+                writer = w.Conflict_graph.ta;
+                accessor = e.Conflict_graph.ta;
+                obj;
+                pos = e.Conflict_graph.pos;
+              }
+            :: !violations
+        | _ -> ());
+        if Op.equal e.Conflict_graph.op Op.Write then last_write := Some e
+      done)
+    groups;
+  List.rev !violations
+
+let strict events =
+  strict_on (terminal_lookup events) (Conflict_graph.data_ops_by_object events)
+
+let rigorous_on term_of groups =
+  let violations = ref [] in
+  (* Live read locks on the current object: reader -> first read position.
+     One table, emptied per object. *)
+  let readers : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  Conflict_graph.iter_objects
+    (fun obj ops first stop ->
+      Hashtbl.reset readers;
+      for k = first to stop - 1 do
+        let e = ops.(k) in
+        match e.Conflict_graph.op with
+        | Op.Read ->
+          if not (Hashtbl.mem readers e.Conflict_graph.ta) then
+            Hashtbl.add readers e.Conflict_graph.ta e.Conflict_graph.pos
+        | Op.Write ->
+          Hashtbl.iter
+            (fun reader _ ->
+              if reader <> e.Conflict_graph.ta && term_of reader > e.Conflict_graph.pos
+              then
+                violations :=
+                  Unrigorous
+                    { reader; writer = e.Conflict_graph.ta; obj; pos = e.Conflict_graph.pos }
+                  :: !violations)
+            readers
+        | Op.Abort | Op.Commit -> ()
+      done)
+    groups;
   List.rev !violations
 
 let rigorous events =
-  let term_of = terminal_lookup events in
-  let violations = ref [] in
-  List.iter
-    (fun (obj, ops) ->
-      (* Live read locks on this object: reader -> first read position. *)
-      let readers : (int, int) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (fun (e : Conflict_graph.event) ->
-          match e.Conflict_graph.op with
-          | Op.Read ->
-            if not (Hashtbl.mem readers e.Conflict_graph.ta) then
-              Hashtbl.add readers e.Conflict_graph.ta e.Conflict_graph.pos
-          | Op.Write ->
-            Hashtbl.iter
-              (fun reader _ ->
-                if
-                  reader <> e.Conflict_graph.ta
-                  && term_of reader > e.Conflict_graph.pos
-                then
-                  violations :=
-                    Unrigorous
-                      {
-                        reader;
-                        writer = e.Conflict_graph.ta;
-                        obj;
-                        pos = e.Conflict_graph.pos;
-                      }
-                    :: !violations)
-              readers
-          | Op.Abort | Op.Commit -> ())
-        ops)
-    (data_ops_by_object events);
-  List.rev !violations
+  rigorous_on (terminal_lookup events) (Conflict_graph.data_ops_by_object events)
 
 let commit_positions events =
   let commits = Hashtbl.create 64 in
@@ -112,8 +95,7 @@ let commit_positions events =
     events;
   commits
 
-let commit_ordered_on graph events =
-  let commits = commit_positions events in
+let commit_ordered_on graph commits =
   List.filter_map
     (fun (e : Conflict_graph.edge) ->
       match
@@ -131,23 +113,36 @@ let commit_ordered_on graph events =
       | _ -> None)
     (Conflict_graph.edges graph)
 
-let commit_ordered events = commit_ordered_on (Conflict_graph.build events) events
+let commit_ordered events =
+  commit_ordered_on (Conflict_graph.build events) (commit_positions events)
 
-let check events =
-  let graph = Conflict_graph.build events in
+(* The check of the events satisfying [keep], a predicate on transactions.
+   The three per-object passes share one grouping of the data operations
+   and one terminal lookup. Terminal and commit positions are looked up
+   only for kept transactions, so they are read off all events. *)
+let check_where keep events =
+  let groups = Conflict_graph.data_ops_by_object ~keep events in
+  let graph = Conflict_graph.build_grouped ~keep events groups in
+  let term_of = terminal_lookup events in
+  let commits = commit_positions events in
   let violations =
-    serializable graph @ strict events @ rigorous events
-    @ commit_ordered_on graph events
+    serializable graph @ strict_on term_of groups @ rigorous_on term_of groups
+    @ commit_ordered_on graph commits
   in
   {
-    events = List.length events;
+    events = List.fold_left (fun n e -> if keep e then n + 1 else n) 0 events;
     txns = List.length (Conflict_graph.nodes graph);
-    committed = Hashtbl.length (commit_positions events);
+    committed = Hashtbl.length commits;
     conflict_edges = Conflict_graph.edge_count graph;
     violations;
   }
 
-let check_committed events = check (Conflict_graph.committed_projection events)
+let check events = check_where (fun _ -> true) events
+
+(* The committed projection, without copying the events. *)
+let check_committed events =
+  let commits = commit_positions events in
+  check_where (fun (e : Conflict_graph.event) -> Hashtbl.mem commits e.Conflict_graph.ta) events
 
 let is_clean r = r.violations = []
 

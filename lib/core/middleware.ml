@@ -894,9 +894,9 @@ and failover sim =
     (Scheduler.relations sim.lanes.(0).sched)
     ~epoch:(h.repl_status ()).rs_epoch ~cycle:sim.cycles_done ~reason:"pcrash"
 
-let validate (cfg : config) =
+let validate ?replicated (cfg : config) =
   let positive = function Some n -> n > 0 | None -> true in
-  let repl = Option.is_some cfg.repl in
+  let repl = Option.value replicated ~default:(Option.is_some cfg.repl) in
   let checks =
     [
       (cfg.n_clients >= 0, "n_clients must be non-negative");
@@ -1339,30 +1339,41 @@ let run_sharded (cfg : config) =
   in
   let rels l = Scheduler.relations l.sched in
   let lanes = Array.to_list sim.lanes in
+  (* At S=1 the merged logs are the lane's own, built without the sorted
+     copies a merge of several lanes needs. *)
+  let single = Array.length sim.lanes = 1 in
+  let concat f = List.concat_map (fun l -> f (rels l)) lanes in
   (* The per-lane rte logs interleave by admission stamp: every executed
      request was qualified, hence stamped, so the merge reconstructs the one
      global admission order the stamp hook handed out. At S=1 nothing is
-     stamped and the stable sort keeps the lane's own order. *)
+     stamped and the lane's own order stands. *)
   let merged_rte =
-    List.concat_map (fun l -> Relations.rte_requests (rels l)) lanes
-    |> List.map (fun (r : Request.t) ->
-           ( Option.value ~default:max_int
-               (Hashtbl.find_opt sim.stamps (Request.key r)),
-             r ))
-    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map snd
+    if single then Relations.rte_requests (rels sim.lanes.(0))
+    else
+      concat Relations.rte_requests
+      |> List.map (fun (r : Request.t) ->
+             ( Option.value ~default:max_int
+                 (Hashtbl.find_opt sim.stamps (Request.key r)),
+               r ))
+      |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+      |> List.map snd
   in
   (* Delivery positions come from the run-global [sim.deliveries] counter,
      so sorting the union of per-lane deliveries by position is the actual
-     cross-lane delivery order. *)
+     cross-lane delivery order; one lane records them in that order. *)
   let merged_execution_order =
-    List.concat_map (fun l -> Relations.deliveries (rels l)) lanes
-    |> List.sort compare |> List.map snd
+    if single then Relations.execution_order (rels sim.lanes.(0))
+    else concat Relations.deliveries |> List.sort compare |> List.map snd
   in
   ( stats,
     {
       lane_schedulers = Array.map (fun l -> l.sched) sim.lanes;
-      shard_of = (fun ta -> Hashtbl.find_opt sim.route_of ta);
+      (* Close over the routing table only: capturing [sim] would keep the
+         engine, the clients and their transactions alive as long as the
+         handle. *)
+      shard_of =
+        (let route_of = sim.route_of in
+         fun ta -> Hashtbl.find_opt route_of ta);
       merged_rte;
       merged_execution_order;
     } )

@@ -190,8 +190,10 @@ val default_config : config
 (** [Error msg] names the first field out of range or the first
     inconsistent combination (replication needs [shards = 1] and a journal,
     and excludes the [crash] fault; [pcrash] needs replication).
-    {!run_sharded} raises [Invalid_argument] on it. *)
-val validate : config -> (unit, string) result
+    {!run_sharded} raises [Invalid_argument] on it. [replicated] (default:
+    [cfg.repl <> None]) says whether the run will attach a replication
+    session, so a caller can validate before creating one. *)
+val validate : ?replicated:bool -> config -> (unit, string) result
 
 type stats = {
   committed_txns : int;

@@ -108,7 +108,7 @@ let of_datalog ?(description = "") ~name ~guarantee program_text =
               Value.Int r.Request.id;
               Value.Int r.Request.ta;
               Value.Int r.Request.intrata;
-              Value.Str (String.make 1 (Op.to_char r.Request.op));
+              Relations.op_value r.Request.op;
               Value.Int obj;
             ]
         | None ->
@@ -117,7 +117,7 @@ let of_datalog ?(description = "") ~name ~guarantee program_text =
               Value.Int r.Request.id;
               Value.Int r.Request.ta;
               Value.Int r.Request.intrata;
-              Value.Str (String.make 1 (Op.to_char r.Request.op));
+              Relations.op_value r.Request.op;
             ]
       in
       let pending = Relations.pending rels in

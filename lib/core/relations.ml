@@ -160,14 +160,21 @@ let create ?(extended = false) () =
     extended;
   }
 
+(* One shared value per operation, and shared small-int boxes
+   ({!Value.int}): a row then owns little beyond its array. *)
+let op_value =
+  let v op = Value.Str (String.make 1 (Op.to_char op)) in
+  let r = v Op.Read and w = v Op.Write and a = v Op.Abort and c = v Op.Commit in
+  function Op.Read -> r | Op.Write -> w | Op.Abort -> a | Op.Commit -> c
+
 let row_of_request ~extended (r : Request.t) =
   let obj = match r.Request.obj with Some o -> Value.Int o | None -> Value.Null in
   let base =
     [|
       Value.Int r.Request.id;
-      Value.Int r.Request.ta;
-      Value.Int r.Request.intrata;
-      Value.Str (String.make 1 (Op.to_char r.Request.op));
+      Value.int r.Request.ta;
+      Value.int r.Request.intrata;
+      op_value r.Request.op;
       obj;
     |]
   in
@@ -330,7 +337,9 @@ let prune_history t =
   end
 
 let rte_requests t =
-  List.map (request_of_row ~extended:t.extended) (Table.rows t.rte)
+  Table.fold_right
+    (fun row acc -> request_of_row ~extended:t.extended row :: acc)
+    t.rte []
 
 let insert_rte t rs =
   Table.insert_many t.rte (List.map (row_of_request ~extended:t.extended) rs)
@@ -352,11 +361,11 @@ let worker_count t = Table.row_count t.workers
 let record_assignment t ~cycle ~cls ~worker ~pos (r : Request.t) =
   Table.insert t.assignment
     [|
-      Value.Int cycle;
-      Value.Int cls;
-      Value.Int worker;
-      Value.Int r.Request.ta;
-      Value.Int r.Request.intrata;
+      Value.int cycle;
+      Value.int cls;
+      Value.int worker;
+      Value.int r.Request.ta;
+      Value.int r.Request.intrata;
       Value.Int pos;
     |]
 
@@ -393,17 +402,31 @@ let record_failover t ~epoch ~cycle ~reason =
     [| Value.Int epoch; Value.Int cycle; Value.Str reason |]
 
 let deliveries t =
-  List.filter_map
-    (fun row ->
+  Table.fold_right
+    (fun row acc ->
       match (row.(3), row.(4), row.(5)) with
-      | Value.Int ta, Value.Int intrata, Value.Int pos ->
-        Some (pos, (ta, intrata))
-      | _ -> None)
-    (Table.rows t.assignment)
+      | Value.Int ta, Value.Int intrata, Value.Int pos -> (pos, (ta, intrata)) :: acc
+      | _ -> acc)
+    t.assignment []
 
 (* The merged parallel schedule: assignment rows by delivery position. The
-   checker compares this against [rte] order for conflict equivalence. *)
-let execution_order t = List.sort compare (deliveries t) |> List.map snd
+   checker compares this against [rte] order for conflict equivalence. Rows
+   are recorded as deliveries happen, so the keys normally come straight
+   off the table; a table out of position order is sorted. *)
+let execution_order t =
+  let ascending = ref true and next = ref max_int in
+  let keys =
+    Table.fold_right
+      (fun row acc ->
+        match (row.(3), row.(4), row.(5)) with
+        | Value.Int ta, Value.Int intrata, Value.Int pos ->
+          if pos >= !next then ascending := false;
+          next := pos;
+          (ta, intrata) :: acc
+        | _ -> acc)
+      t.assignment []
+  in
+  if !ascending then keys else List.sort compare (deliveries t) |> List.map snd
 
 let table_facts t name =
   match name with

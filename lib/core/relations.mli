@@ -55,6 +55,10 @@ val create : ?extended:bool -> unit -> t
 (** The Table 2 schema (5 columns), or 8 in extended mode. *)
 val schema : extended:bool -> Schema.t
 
+(** The [operation] column value of an operation: one shared [Str] per
+    operation. *)
+val op_value : Op.t -> Value.t
+
 val row_of_request : extended:bool -> Request.t -> Value.t array
 
 (** @raise Invalid_argument on a malformed row. Rows with negative INTRATA

@@ -25,16 +25,33 @@ type parallel = {
   per_worker : worker_row list;
 }
 
+(* Rows are kept column by column, so a run's thousands of cycles and
+   commits cost a few unboxed words each instead of a record with boxed
+   floats; {!latencies} and {!cycles} build the rows when asked. *)
+module Vec = Ds_util.Vec
+
 type t = {
-  commit_rows : (string * float) Ds_util.Vec.t;
-  cycle_rows : cycle_row Ds_util.Vec.t;
+  tiers : string Vec.t;
+  latency : float Vec.t;
+  times : float Vec.t;
+  drained : int Vec.t;
+  pending_before : int Vec.t;
+  qualified : int Vec.t;
+  query_times : float Vec.t;
+  index_times : float Vec.t;
   mutable parallel : parallel option;
 }
 
 let create () =
   {
-    commit_rows = Ds_util.Vec.create ();
-    cycle_rows = Ds_util.Vec.create ();
+    tiers = Vec.create ();
+    latency = Vec.create ();
+    times = Vec.create ();
+    drained = Vec.create ();
+    pending_before = Vec.create ();
+    qualified = Vec.create ();
+    query_times = Vec.create ();
+    index_times = Vec.create ();
     parallel = None;
   }
 
@@ -44,38 +61,47 @@ let parallel t = t.parallel
 
 type mark = int * int
 
-let mark t =
-  (Ds_util.Vec.length t.cycle_rows, Ds_util.Vec.length t.commit_rows)
+let mark t = (Vec.length t.times, Vec.length t.tiers)
 
-let rows_from v i =
-  List.init (Ds_util.Vec.length v - i) (fun k -> Ds_util.Vec.get v (i + k))
-
-let observe_latency t ~tier dt = Ds_util.Vec.push t.commit_rows (tier, dt)
+let observe_latency t ~tier dt =
+  Vec.push t.tiers tier;
+  Vec.push t.latency dt
 
 let latencies ?since t =
-  rows_from t.commit_rows (Option.fold ~none:0 ~some:snd since)
+  let from = Option.fold ~none:0 ~some:snd since in
+  List.init (Vec.length t.tiers - from) (fun k ->
+      (Vec.get t.tiers (from + k), Vec.get t.latency (from + k)))
 
 let record_cycle t ~time ~drained ~pending_before ~qualified ~query_time
     ?(index_time = 0.) () =
-  let row =
-    {
-      cycle = Ds_util.Vec.length t.cycle_rows;
-      time;
-      drained;
-      pending_before;
-      qualified;
-      (* [pending_before] is sampled before the queue drain, so the work the
-         protocol query actually saw is the pending backlog plus the drain. *)
-      admit_ratio =
-        float_of_int qualified /. float_of_int (max 1 (pending_before + drained));
-      query_time;
-      index_time;
-    }
-  in
-  Ds_util.Vec.push t.cycle_rows row
+  Vec.push t.times time;
+  Vec.push t.drained drained;
+  Vec.push t.pending_before pending_before;
+  Vec.push t.qualified qualified;
+  Vec.push t.query_times query_time;
+  Vec.push t.index_times index_time
 
 let cycles ?since t =
-  rows_from t.cycle_rows (Option.fold ~none:0 ~some:fst since)
+  let from = Option.fold ~none:0 ~some:fst since in
+  List.init (Vec.length t.times - from) (fun k ->
+      let i = from + k in
+      let drained = Vec.get t.drained i
+      and pending_before = Vec.get t.pending_before i
+      and qualified = Vec.get t.qualified i in
+      {
+        cycle = i;
+        time = Vec.get t.times i;
+        drained;
+        pending_before;
+        qualified;
+        (* [pending_before] is sampled before the queue drain, so the work
+           the protocol query actually saw is the pending backlog plus the
+           drain. *)
+        admit_ratio =
+          float_of_int qualified /. float_of_int (max 1 (pending_before + drained));
+        query_time = Vec.get t.query_times i;
+        index_time = Vec.get t.index_times i;
+      })
 
 (* Premium, standard, free first (urgency order); anything else after,
    alphabetically, so custom tier labels still render deterministically. *)

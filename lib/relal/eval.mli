@@ -1,4 +1,6 @@
-(** Plan evaluation (materializing executor).
+(** Plan evaluation. Rows stream through Scan, Filter, Project, UNION ALL
+    and a join's probe side; hash builds, DISTINCT, EXCEPT/INTERSECT, Sort,
+    Group and Cross hold rows. Semi and anti joins stop at the first match.
 
     Rows flow as value arrays. [env] is the stack of outer rows for
     correlated subqueries: [Ra.Outer (1, i)] reads column [i] of the head.
@@ -15,10 +17,11 @@ val eval_expr : ?env:Value.t array list -> row:Value.t array -> Ra.expr -> Value
 (** [truthy v] is true iff [v] is [Bool true] (SQL WHERE semantics). *)
 val truthy : Value.t -> bool
 
-(** When true (the default), a hash join whose right side is a base-table
-    scan with a declared index on exactly the join columns probes that index
-    instead of building an ephemeral hash table. The persistent index is
-    shared by every join over the table within a query (Listing 1 probes
-    [history] three times), and across queries until the table changes.
-    Toggled off by the optimizer/index ablation bench. *)
+(** When true (the default), a join whose right side is a base-table scan,
+    or a filter over one, probes a declared single-column index on one of
+    the join columns instead of hashing the right side, provided the index
+    holds at most a few rows per key (a miss walks the whole posting). The
+    persistent index is shared by every join over the table, and across
+    queries until the table changes. Toggled off by the optimizer/index
+    ablation bench. *)
 val use_table_indexes : bool ref

@@ -36,10 +36,11 @@ let rec expr_equal a b =
   | Exists _, Exists _ -> false (* conservative: never equal *)
   | _ -> false
 
+let rec disjuncts = function Or (a, b) -> disjuncts a @ disjuncts b | e -> [ e ]
+
 (* (A and B) or (A and C) --> A and (B or C), recursively, for conjuncts
    that appear (syntactically) in every disjunct. *)
 let factor_common_disjunction e =
-  let rec disjuncts = function Or (a, b) -> disjuncts a @ disjuncts b | e -> [ e ] in
   match disjuncts e with
   | [] | [ _ ] -> e
   | first :: rest as all ->
@@ -336,41 +337,101 @@ let decorrelate_pred ~left_arity pred =
   if not (List.for_all handleable conj) then None
   else begin
     let acc = { d_lkeys = []; d_rkeys = []; d_sub_filters = []; d_residual = [] } in
+    (* A conjunct without outer references filters the subquery's input,
+       even an equality with a constant: keying the join on [b.op = 'w']
+       would probe the four-key operation index. *)
     let step acc c =
       match c with
+      | c when only_local c -> { acc with d_sub_filters = c :: acc.d_sub_filters }
       | Cmp (Eq, a, b) when only_outer1 a && only_local b ->
         { acc with d_lkeys = rewrite_outer1_to_col a :: acc.d_lkeys; d_rkeys = b :: acc.d_rkeys }
       | Cmp (Eq, a, b) when only_outer1 b && only_local a ->
         { acc with d_lkeys = rewrite_outer1_to_col b :: acc.d_lkeys; d_rkeys = a :: acc.d_rkeys }
-      | c when only_local c -> { acc with d_sub_filters = c :: acc.d_sub_filters }
       | c -> { acc with d_residual = rewrite_to_residual ~left_arity c :: acc.d_residual }
     in
     Some (List.fold_left step acc conj)
   end
 
+let rec unwrap_distinct = function Distinct p -> unwrap_distinct p | p -> p
+
+let with_sub_filters d inner =
+  match d.d_sub_filters with [] -> inner | fs -> Filter (conjoin fs, inner)
+
 (* Try to decorrelate one Exists payload. The payload must be Filter over an
    uncorrelated plan (the common SQL lowering shape); Distinct and Project-of-
    plain-columns on top are tolerated by unwrapping. *)
 let decorrelate_exists ~left_arity sub =
-  let rec unwrap = function
-    | Distinct p -> unwrap p
-    | p -> p
-  in
-  match unwrap sub with
+  match unwrap_distinct sub with
   | Filter (pred, inner) when not (plan_refers_outer ~depth:1 inner) -> (
     match decorrelate_pred ~left_arity pred with
     | None -> None
-    | Some d ->
-      let right =
-        match d.d_sub_filters with
-        | [] -> inner
-        | fs -> Filter (conjoin fs, inner)
-      in
-      Some (d, right))
+    | Some d -> Some (d, with_sub_filters d inner))
   | p when not (plan_refers_outer ~depth:1 p) ->
     (* Uncorrelated EXISTS: degenerate zero-key join. *)
     Some ({ d_lkeys = []; d_rkeys = []; d_sub_filters = []; d_residual = [] }, p)
   | _ -> None
+
+(* NOT EXISTS (sub WHERE d1 OR ... OR dn) as one anti join per disjunct.
+   EXISTS keeps the subquery rows whose predicate is TRUE, and under
+   three-valued logic an OR is TRUE iff one of its disjuncts is, so the
+   NOT EXISTS is the conjunction of the per-disjunct NOT EXISTS. Split only
+   when every disjunct decorrelates to equi-keys and subquery filters with
+   no residual: then each anti join probes by key and stops at its first
+   match, where the unsplit form joins on the common keys and tests the
+   whole OR on every candidate pair. *)
+let split_not_exists ~left_arity sub =
+  match unwrap_distinct sub with
+  | Filter (pred, inner) when not (plan_refers_outer ~depth:1 inner) -> (
+    match disjuncts pred with
+    | [] | [ _ ] -> None
+    | ds ->
+      let parts = List.map (decorrelate_pred ~left_arity) ds in
+      if List.for_all (function Some d -> d.d_residual = [] | None -> false) parts
+      then
+        Some (List.map (fun d -> (d, with_sub_filters d inner)) (List.filter_map Fun.id parts))
+      else None)
+  | _ -> None
+
+(* Project over Project as one Project, when that evaluates no inner
+   expression more often than before: the inner columns are plain columns
+   or constants, or the outer columns pick distinct inner columns. *)
+let fuse_projects outer inner =
+  let atomic = function Col _ | Const _ | Param _ -> true | _ -> false in
+  let picks = List.filter_map (function Col i, _ -> Some i | _ -> None) outer in
+  if
+    List.exists (fun (e, _) -> has_exists e) outer
+    || not
+         (List.for_all (fun (e, _) -> atomic e) inner
+         || List.length picks = List.length outer
+            && List.length (List.sort_uniq Int.compare picks) = List.length picks)
+  then None
+  else
+    let exprs = Array.of_list (List.map fst inner) in
+    Some (List.map (fun (e, c) -> (subst_cols (fun i -> exprs.(i)) e, c)) outer)
+
+let project cols p =
+  match p with
+  | Project (inner, q) -> (
+    match fuse_projects cols inner with
+    | Some cols -> Project (cols, q)
+    | None -> Project (cols, p))
+  | p -> Project (cols, p)
+
+(* A plan read as a set (the sides of EXCEPT, UNION and INTERSECT, the
+   input of DISTINCT, the right side of a semi or anti join) need not drop
+   duplicates on the way: projection, selection, UNION ALL and joins map
+   equal sets to equal sets, and the reader keeps the first occurrence of
+   each row, which stays where it was. So a DISTINCT reached through those
+   is dropped, with the hash table it would fill. *)
+let rec drop_distinct = function
+  | Distinct p -> drop_distinct p
+  | Project (cols, p) -> project cols (drop_distinct p)
+  | Filter (e, p) -> Filter (e, drop_distinct p)
+  | Union_all (l, r) -> Union_all (drop_distinct l, drop_distinct r)
+  | Join ({ kind = Inner; _ } as j) ->
+    Join { j with left = drop_distinct j.left; right = drop_distinct j.right }
+  | Join ({ kind = Semi | Anti; _ } as j) -> Join { j with left = drop_distinct j.left }
+  | p -> p
 
 (* ------------------------------------------------------------------ *)
 (* The rewriter                                                       *)
@@ -383,19 +444,24 @@ let rec rewrite ~level plan =
   | Scan _ | Values _ -> plan
   | Filter (pred, p) -> rewrite_filter ~level (fold_expr pred) (rewrite ~level p)
   | Project (cols, p) ->
-    Project (List.map (fun (e, c) -> (fold_expr e, c)) cols, rewrite ~level p)
+    project (List.map (fun (e, c) -> (fold_expr e, c)) cols) (rewrite ~level p)
   | Cross (l, r) -> Cross (rewrite ~level l, rewrite ~level r)
   | Join j ->
-    Join { j with left = rewrite ~level j.left; right = rewrite ~level j.right }
+    let right = rewrite ~level j.right in
+    let right =
+      match j.kind with Semi | Anti -> drop_distinct right | Inner | Left -> right
+    in
+    Join { j with left = rewrite ~level j.left; right }
   | Union_all (l, r) -> Union_all (rewrite ~level l, rewrite ~level r)
-  | Union (l, r) -> Union (rewrite ~level l, rewrite ~level r)
-  | Except (l, r) -> Except (rewrite ~level l, rewrite ~level r)
-  | Intersect (l, r) -> Intersect (rewrite ~level l, rewrite ~level r)
-  | Distinct (Distinct p) -> rewrite ~level (Distinct p)
-  | Distinct p -> Distinct (rewrite ~level p)
+  | Union (l, r) -> Union (as_set ~level l, as_set ~level r)
+  | Except (l, r) -> Except (as_set ~level l, as_set ~level r)
+  | Intersect (l, r) -> Intersect (as_set ~level l, as_set ~level r)
+  | Distinct p -> Distinct (as_set ~level p)
   | Sort (keys, p) -> Sort (keys, rewrite ~level p)
   | Limit (n, p) -> Limit (n, rewrite ~level p)
   | Group g -> Group { g with input = rewrite ~level g.input }
+
+and as_set ~level p = drop_distinct (rewrite ~level p)
 
 and rewrite_filter ~level pred p =
   if is_true pred then p
@@ -430,7 +496,22 @@ and rewrite_filter ~level pred p =
             in
             match c with
             | Exists sub -> attempt Semi sub
-            | Not (Exists sub) -> attempt Anti sub
+            | Not (Exists sub) -> (
+              match split_not_exists ~left_arity sub with
+              | Some parts ->
+                let anti plan (d, right) =
+                  Join
+                    {
+                      kind = Anti;
+                      lkeys = List.rev d.d_lkeys;
+                      rkeys = List.rev d.d_rkeys;
+                      residual = None;
+                      left = plan;
+                      right = rewrite ~level right;
+                    }
+                in
+                (List.fold_left anti plan parts, remaining)
+              | None -> attempt Anti sub)
             | c -> (plan, c :: remaining))
           (p, []) conj
         |> fun (plan, rem) -> (plan, List.rev rem)
@@ -513,6 +594,37 @@ and push_conjuncts ~level conj plan =
     Union_all
       (rewrite_filter ~level (conjoin conj) l, rewrite_filter ~level (conjoin conj) r)
   | Distinct q when level <> `None -> Distinct (push_conjuncts ~level conj q)
+  | Join ({ kind = Left; _ } as j)
+    when level <> `None && not (List.exists has_exists conj) -> (
+    (* Conjuncts on left columns only filter the left input: a LEFT JOIN
+       keeps every left row, matched or padded, with its columns as they
+       were. *)
+    let la = Schema.arity (schema_of j.left) in
+    let left_only, rest =
+      List.partition (fun c -> Int_set.for_all (fun i -> i < la) (cols_used c)) conj
+    in
+    let left =
+      match left_only with
+      | [] -> j.left
+      | cs -> rewrite_filter ~level (conjoin cs) j.left
+    in
+    (* [r.k IS NULL] on a right join key column keeps exactly the padded
+       rows (a matched row's key equals a non-NULL left key): an anti join,
+       padded with NULLs so the schema stays the same. *)
+    let null_key = function
+      | Is_null (Col c) ->
+        c >= la && List.exists (function Col k -> k = c - la | _ -> false) j.rkeys
+      | _ -> false
+    in
+    let wrap p = function [] -> p | cs -> Filter (conjoin cs, p) in
+    match List.partition null_key rest with
+    | [], rest -> wrap (Join { j with left }) rest
+    | _ :: _, rest ->
+      let keep = List.mapi (fun i c -> (Col i, c)) (Array.to_list (schema_of left)) in
+      let pad =
+        List.map (fun c -> (Const Value.Null, c)) (Array.to_list (schema_of j.right))
+      in
+      wrap (Project (keep @ pad, Join { j with kind = Anti; left })) rest)
   | _ -> (
     match conj with [] -> plan | cs -> Filter (conjoin cs, plan))
 

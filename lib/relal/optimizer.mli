@@ -8,12 +8,16 @@
     - [`None]: plan untouched (evaluates correlated subqueries by nested
       re-execution, crosses by enumeration).
     - [`Basic]: constant folding; conjunction splitting; predicate pushdown
-      through project/cross/join/set-ops; equi-join detection over cross
-      products (hash joins).
+      through project/cross/join/set-ops, and below a LEFT JOIN's left side;
+      equi-join detection over cross products (hash joins); LEFT JOIN
+      filtered on [right key IS NULL] as a NULL-padded anti join; DISTINCT
+      dropped where a set operation or semi/anti join reads the result as a
+      set anyway; fusion of adjacent projections.
     - [`Full]: [`Basic] plus decorrelation of (NOT) EXISTS subqueries into
       hash semi/anti joins, factoring common conjuncts out of disjunctions to
-      expose join keys (this is what turns Listing 1's correlated NOT EXISTS
-      into a hash anti join on TA). *)
+      expose join keys, and NOT EXISTS over a disjunction as one anti join
+      per disjunct when each decorrelates without a residual (this is what
+      turns Listing 1's correlated NOT EXISTS into two keyed anti joins). *)
 
 type level = [ `None | `Basic | `Full ]
 

@@ -89,15 +89,14 @@ let rec profile plan =
   | Union (l, r) -> binary l r (fun l r -> Union (l, r))
   | Except (l, r) -> binary l r (fun l r -> Except (l, r))
   | Intersect (l, r) -> binary l r (fun l r -> Intersect (l, r))
-  | Join j when (match j.right with Scan _ -> true | _ -> false) ->
+  | Join ({ right = Scan (t, _) | Filter (_, Scan (t, _)); _ } as j) ->
     (* Keep the base-table right side: the index fast path should be what
        gets measured. *)
     let l_rows, l_stats = profile j.left in
     let r_stats =
       {
         label = label_of j.right;
-        rows =
-          (match j.right with Scan (t, _) -> Table.row_count t | _ -> 0);
+        rows = Table.row_count t;
         time = 0.;
         children = [];
       }

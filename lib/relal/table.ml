@@ -1,11 +1,14 @@
 module Vec = Ds_util.Vec
 
 module Key = struct
-  type t = Value.t list
+  type t = Value.t array
 
-  let equal = List.equal Value.equal
+  let rec equal_from a b i =
+    i >= Array.length a || (Value.equal a.(i) b.(i) && equal_from a b (i + 1))
 
-  let hash k = List.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 k
+  let equal a b = Array.length a = Array.length b && equal_from a b 0
+
+  let hash k = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 k
 end
 
 module Key_tbl = Hashtbl.Make (Key)
@@ -13,8 +16,14 @@ module Key_tbl = Hashtbl.Make (Key)
 (* Hash index: key -> posting list of row slots, ascending. Postings are kept
    exact under insert/update (slots move between postings); deletions are
    lazy — dead slots stay in the posting and are filtered on probe, and get
-   swept out when the table compacts. *)
-type index = { cols : int list; mutable map : int Vec.t Key_tbl.t option }
+   swept out when the table compacts. Lookups fill [scratch] and hash that,
+   so a probe or an insert under an existing key allocates no key. *)
+type index = {
+  cols : int list;
+  acols : int array;
+  scratch : Value.t array;
+  mutable map : int Vec.t Key_tbl.t option;
+}
 
 (* Ordered index: (value, slot) entries sorted by (value, slot), NULLs
    excluded. [main] is the big sorted run; inserts and updates append to the
@@ -106,7 +115,27 @@ let has_built_index t =
   List.exists (fun ix -> ix.map <> None) t.indexes
   || List.exists (fun ox -> ox.built) t.ordered
 
-let key_of_row cols row = List.map (fun c -> row.(c)) cols
+let key_of_row ix row = Array.map (fun c -> row.(c)) ix.acols
+
+let fill_scratch ix row =
+  for i = 0 to Array.length ix.acols - 1 do
+    ix.scratch.(i) <- row.(ix.acols.(i))
+  done
+
+(* Files slot [pos] under [row]'s key, at the end of its posting. A new key
+   gets its own copy of the key and a one-slot posting: most keys of the
+   object index hold one or two rows. *)
+let index_add ix map row pos =
+  fill_scratch ix row;
+  match Key_tbl.find map ix.scratch with
+  | posting -> Vec.push posting pos
+  | exception Not_found -> Key_tbl.add map (Array.copy ix.scratch) (Vec.make 1 pos)
+
+(* The posting under the key held in [scratch], if any. *)
+let find_posting ix map =
+  match Key_tbl.find map ix.scratch with
+  | posting -> Some posting
+  | exception Not_found -> None
 
 (* Compare ordered-index entries by (value, slot): the global probe order. *)
 let entry_compare (va, pa) (vb, pb) =
@@ -131,14 +160,7 @@ let index_insert t pos row =
     (fun ix ->
       match ix.map with
       | None -> ()
-      | Some map -> (
-        let key = key_of_row ix.cols row in
-        match Key_tbl.find_opt map key with
-        | Some posting -> Vec.push posting pos
-        | None ->
-          let posting = Vec.create () in
-          Vec.push posting pos;
-          Key_tbl.replace map key posting))
+      | Some map -> index_add ix map row pos)
     t.indexes;
   List.iter
     (fun ox ->
@@ -315,15 +337,15 @@ let reindex_hash t pos old_keys row =
       match ix.map with
       | None -> ()
       | Some map ->
-        let new_key = key_of_row ix.cols row in
-        if not (Key.equal old_key new_key) then begin
+        fill_scratch ix row;
+        if not (Key.equal old_key ix.scratch) then begin
           (match Key_tbl.find_opt map old_key with
           | Some posting ->
             ignore (Vec.filter_in_place (fun p -> p <> pos) posting);
             if Vec.is_empty posting then Key_tbl.remove map old_key
           | None -> ());
-          match Key_tbl.find_opt map new_key with
-          | Some posting ->
+          match Key_tbl.find map ix.scratch with
+          | posting ->
             (* Sorted insert: usually appends (pos is the newest slot with
                this key); bounded by the posting length otherwise. *)
             Vec.push posting pos;
@@ -333,10 +355,7 @@ let reindex_hash t pos old_keys row =
               decr i
             done;
             Vec.set posting !i pos
-          | None ->
-            let posting = Vec.create () in
-            Vec.push posting pos;
-            Key_tbl.replace map new_key posting
+          | exception Not_found -> index_add ix map row pos
         end)
     t.indexes old_keys
 
@@ -362,9 +381,7 @@ let update_where t p f =
       let row = Vec.get t.rows pos in
       if p row then begin
         if incr_mode then begin
-          let old_keys =
-            List.map (fun ix -> key_of_row ix.cols row) t.indexes
-          in
+          let old_keys = List.map (fun ix -> key_of_row ix row) t.indexes in
           let old_vals = List.map (fun ox -> row.(ox.ocol)) t.ordered in
           f row;
           timed_maintenance (fun () ->
@@ -389,12 +406,15 @@ let clear t =
 (* scans                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let rows t =
-  let out = ref [] in
+
+let fold_right f t acc =
+  let acc = ref acc in
   for pos = Vec.length t.rows - 1 downto 0 do
-    if is_live t pos then out := Vec.get t.rows pos :: !out
+    if is_live t pos then acc := f (Vec.get t.rows pos) !acc
   done;
-  !out
+  !acc
+
+let rows t = fold_right List.cons t []
 
 let iter f t =
   for pos = 0 to Vec.length t.rows - 1 do
@@ -419,7 +439,14 @@ let create_index t cols =
         invalid_arg "Table.create_index: column out of range")
     cols;
   if not (List.exists (fun ix -> same_cols ix.cols cols) t.indexes) then
-    t.indexes <- { cols; map = None } :: t.indexes
+    t.indexes <-
+      {
+        cols;
+        acols = Array.of_list cols;
+        scratch = Array.make (List.length cols) Value.Null;
+        map = None;
+      }
+      :: t.indexes
 
 let has_index t cols = List.exists (fun ix -> same_cols ix.cols cols) t.indexes
 
@@ -427,35 +454,69 @@ let build ix t =
   timed_maintenance (fun () ->
       let map = Key_tbl.create (max 16 (row_count t)) in
       for pos = 0 to Vec.length t.rows - 1 do
-        if is_live t pos then begin
-          let key = key_of_row ix.cols (Vec.get t.rows pos) in
-          match Key_tbl.find_opt map key with
-          | Some posting -> Vec.push posting pos
-          | None ->
-            let posting = Vec.create () in
-            Vec.push posting pos;
-            Key_tbl.replace map key posting
-        end
+        if is_live t pos then index_add ix map (Vec.get t.rows pos) pos
       done;
       ix.map <- Some map;
       map)
 
-let probe t cols key =
+let built_map ix t = match ix.map with Some m -> m | None -> build ix t
+
+(* The posting under [key] on the index over [cols], if any. *)
+let lookup t ~op cols key =
   match List.find_opt (fun ix -> same_cols ix.cols cols) t.indexes with
-  | None -> invalid_arg (Printf.sprintf "Table.probe(%s): no such index" t.name)
+  | None -> invalid_arg (Printf.sprintf "Table.%s(%s): no such index" op t.name)
   | Some ix ->
-    let map = match ix.map with Some m -> m | None -> build ix t in
-    (match Key_tbl.find_opt map key with
-    | None -> []
-    | Some posting ->
-      (* Postings are ascending slots = insertion order; dead slots are
-         skipped here and swept out by compaction. *)
-      let out = ref [] in
-      for i = Vec.length posting - 1 downto 0 do
-        let pos = Vec.get posting i in
-        if is_live t pos then out := Vec.get t.rows pos :: !out
-      done;
-      !out)
+    let map = built_map ix t in
+    if List.length key <> Array.length ix.scratch then None
+    else begin
+      List.iteri (fun i v -> ix.scratch.(i) <- v) key;
+      find_posting ix map
+    end
+
+let probe t cols key =
+  match lookup t ~op:"probe" cols key with
+  | None -> []
+  | Some posting ->
+    (* Postings are ascending slots = insertion order; dead slots are
+       skipped here and swept out by compaction. *)
+    let out = ref [] in
+    for i = Vec.length posting - 1 downto 0 do
+      let pos = Vec.get posting i in
+      if is_live t pos then out := Vec.get t.rows pos :: !out
+    done;
+    !out
+
+(* The index on exactly [[col]]; raises [Not_found]. *)
+let rec single_index col = function
+  | [] -> raise Not_found
+  | ({ cols = [ c ]; _ } as ix) :: _ when c = col -> ix
+  | _ :: rest -> single_index col rest
+
+let mean_posting t col =
+  match single_index col t.indexes with
+  | exception Not_found -> None
+  | ix ->
+    let map = built_map ix t in
+    Some (float_of_int (row_count t) /. float_of_int (max 1 (Key_tbl.length map)))
+
+let rec exists_from t posting p i =
+  i < Vec.length posting
+  &&
+  let pos = Vec.get posting i in
+  (is_live t pos && p (Vec.get t.rows pos)) || exists_from t posting p (i + 1)
+
+let exists_in_posting t col v p =
+  match single_index col t.indexes with
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "Table.exists_in_posting(%s): no such index" t.name)
+  | ix -> (
+    let map = built_map ix t in
+    ix.scratch.(0) <- v;
+    (* The posting is read after the lookup: [p] may probe this index
+       again and overwrite [scratch]. *)
+    match Key_tbl.find map ix.scratch with
+    | posting -> exists_from t posting p 0
+    | exception Not_found -> false)
 
 (* ------------------------------------------------------------------ *)
 (* ordered indexes                                                    *)
@@ -596,25 +657,20 @@ let indexed_columns t = List.map (fun ix -> ix.cols) t.indexes
    row satisfying [p]; returns how many were removed. The batched delete used
    by the scheduler's history pruning: O(posting) instead of a full scan. *)
 let delete_by_key t cols key p =
-  match List.find_opt (fun ix -> same_cols ix.cols cols) t.indexes with
-  | None ->
-    invalid_arg (Printf.sprintf "Table.delete_by_key(%s): no such index" t.name)
-  | Some ix ->
-    let map = match ix.map with Some m -> m | None -> build ix t in
-    let removed = ref 0 in
-    (match Key_tbl.find_opt map key with
-    | None -> ()
-    | Some posting ->
-      Vec.iter
-        (fun pos ->
-          if is_live t pos && p (Vec.get t.rows pos) then begin
-            Bytes.unsafe_set t.live pos '\000';
-            incr removed
-          end)
-        posting);
-    if !removed > 0 then begin
-      t.n_dead <- t.n_dead + !removed;
-      if not !incremental_maintenance then invalidate t;
-      maybe_compact t
-    end;
-    !removed
+  let removed = ref 0 in
+  (match lookup t ~op:"delete_by_key" cols key with
+  | None -> ()
+  | Some posting ->
+    Vec.iter
+      (fun pos ->
+        if is_live t pos && p (Vec.get t.rows pos) then begin
+          Bytes.unsafe_set t.live pos '\000';
+          incr removed
+        end)
+      posting);
+  if !removed > 0 then begin
+    t.n_dead <- t.n_dead + !removed;
+    if not !incremental_maintenance then invalidate t;
+    maybe_compact t
+  end;
+  !removed

@@ -74,6 +74,11 @@ val rows : t -> Value.t array list
 val iter : (Value.t array -> unit) -> t -> unit
 val fold : ('acc -> Value.t array -> 'acc) -> 'acc -> t -> 'acc
 
+(** [fold_right f t acc] folds the live rows from the last to the first, so
+    [fold_right (fun row acc -> g row :: acc) t []] lists [g row] in
+    insertion order without an intermediate list. *)
+val fold_right : (Value.t array -> 'acc -> 'acc) -> t -> 'acc -> 'acc
+
 (** [create_index t cols] declares an index on the column positions [cols]
     (leftmost significant). Duplicate declarations are no-ops. *)
 val create_index : t -> int list -> unit
@@ -103,6 +108,18 @@ val range_probe :
   lo:(Value.t * bool) option ->
   hi:(Value.t * bool) option ->
   Value.t array list
+
+(** [mean_posting t col] is the mean number of rows per key of the hash
+    index declared on exactly [[col]] (built on demand), or [None] when
+    there is no such index. The executor probes an index only when this is
+    small. *)
+val mean_posting : t -> int -> float option
+
+(** [exists_in_posting t col v p] is true iff [p] holds for some live row
+    whose [col] equals [v], found through the hash index on [[col]] and
+    tried in insertion order until the first hit. Allocates nothing.
+    @raise Invalid_argument if no index was declared on exactly [[col]]. *)
+val exists_in_posting : t -> int -> Value.t -> (Value.t array -> bool) -> bool
 
 (** For the optimizer: lookup cost signal. *)
 val indexed_columns : t -> int list list

@@ -7,7 +7,12 @@ type t =
 
 let null = Null
 
-let int i = Int i
+(* Shared boxes for the small ints that fill most rows (intra-transaction
+   numbers, cycle counters, worker and class ids): a row built from them
+   holds pointers to these instead of fresh two-word blocks. *)
+let small_ints = Array.init 4096 (fun i -> Int i)
+
+let int i = if i >= 0 && i < 4096 then Array.unsafe_get small_ints i else Int i
 
 let float f = Float f
 
@@ -36,10 +41,22 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* [equal] identifies an [Int] with the [Float] it converts to, so both hash
+   through that float's integer value when it has one in int range. Ints
+   whose conversion is exact (|i| <= 2^53) are hashed directly, without
+   boxing a float. *)
+let max_exact = 1 lsl 53
+
+let hash_float f =
+  if Float.is_integer f && Float.abs f < 0x1p62 then Hashtbl.hash (Float.to_int f)
+  else Hashtbl.hash f
+
 let hash = function
   | Null -> 0
-  | Int i -> Hashtbl.hash (float_of_int i)
-  | Float f -> Hashtbl.hash f
+  | Int i ->
+    if i >= -max_exact && i <= max_exact then Hashtbl.hash i
+    else hash_float (float_of_int i)
+  | Float f -> hash_float f
   | Str s -> Hashtbl.hash s
   | Bool b -> if b then 3 else 5
 

@@ -11,7 +11,11 @@ type t =
   | Bool of bool
 
 val null : t
+
+(** [int i] is [Int i]; ints in [0, 4096) come from a shared table, so rows
+    built through it do not allocate a box per small value. *)
 val int : int -> t
+
 val float : float -> t
 val str : string -> t
 val bool : bool -> t
@@ -23,6 +27,9 @@ val is_null : t -> bool
 val compare : t -> t -> int
 
 val equal : t -> t -> bool
+
+(** Consistent with {!equal}: [equal a b] implies [hash a = hash b], also
+    between an [Int] and the integral [Float] it equals. *)
 val hash : t -> int
 
 (** SQL-ish rendering: NULL, 42, 4.2, 'text', TRUE. *)

@@ -202,7 +202,13 @@ let test_check_committed_ignores_in_flight () =
   let es = events [ w 1 1; c 1; w 2 1 ] in
   let report = Serializability.check_committed es in
   Alcotest.(check bool) "clean" true (Serializability.is_clean report);
-  Alcotest.(check int) "only T1 survives" 1 report.Serializability.txns
+  Alcotest.(check int) "only T1 survives" 1 report.Serializability.txns;
+  (* Checking the committed events in place reports what checking their
+     copied projection does, violations included. *)
+  let es = events [ w 1 1; w 2 1; w 2 2; w 1 2; c 1; c 2; w 3 1; r 3 2; a 3 ] in
+  Alcotest.(check bool) "same report as on the projection" true
+    (Serializability.check_committed es
+    = Serializability.check (Conflict_graph.committed_projection es))
 
 let test_pp_report_mentions_cycle () =
   let report = Serializability.check (events [ w 1 1; w 2 1; w 2 2; w 1 2 ]) in

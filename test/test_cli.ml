@@ -84,6 +84,29 @@ let test_repl_flag_preconditions () =
   check_rejected ~flag:"--repl-faults without --standby" ~needle:"--standby"
     "run --duration 0.1 --journal /tmp/x.journal --repl-faults drop=0.1"
 
+(* A run its config rejects must leave the standby directory alone: no new
+   directory, and an existing standby journal byte for byte as it was. *)
+let test_rejected_run_keeps_standby () =
+  let base = Filename.temp_file "dsched_cli_standby" "" in
+  Sys.remove base;
+  let journal = Filename.quote (base ^ ".journal") in
+  let rejected dir =
+    check_rejected ~exit:2 ~flag:"--faults crash=5 --standby"
+      ~needle:"crash fault is incompatible with replication"
+      (Printf.sprintf "run --duration 0.1 --faults crash=5 --journal %s --standby %s"
+         journal (Filename.quote dir))
+  in
+  rejected base;
+  Alcotest.(check bool) "no standby directory made" false (Sys.file_exists base);
+  Sys.mkdir base 0o755;
+  let standby = Filename.concat base "standby.journal" in
+  Out_channel.with_open_bin standby (fun oc -> output_string oc "earlier standby");
+  rejected base;
+  Alcotest.(check string) "existing standby journal kept" "earlier standby"
+    (In_channel.with_open_bin standby In_channel.input_all);
+  Sys.remove standby;
+  Sys.rmdir base
+
 let tests =
   [
     Alcotest.test_case "--checkpoint rejects non-positive values" `Quick
@@ -100,4 +123,6 @@ let tests =
       test_clients_queue_cap_reject_nonpositive;
     Alcotest.test_case "out-of-range config exits 2 with a message" `Quick
       test_config_rejected_with_message;
+    Alcotest.test_case "a rejected run leaves the standby directory alone"
+      `Quick test_rejected_run_keeps_standby;
   ]

@@ -130,6 +130,69 @@ let ss2pl_equivalence =
           Builtin.ss2pl_datalog;
         ])
 
+(* Every builtin SQL protocol is a query text; its plans at the three
+   optimizer levels must return the same keys in the same order, on states
+   that hold finished transactions, abort markers and terminal (NULL-object)
+   requests. The rationing boundary sits inside the generated object range. *)
+let sql_builtins =
+  [
+    ("ss2pl-sql", Queries.ss2pl, false);
+    ("ss2pl-ordered-sql", Queries.ss2pl_ordered, false);
+    ("read-committed-sql", Queries.read_committed, false);
+    ("c2pl", Queries.c2pl, false);
+    ("reader-offload", Queries.reader_offload, false);
+    ("rationing-1000", Queries.rationing ~threshold:4, false);
+    ("sla-ordered", Queries.sla_ordered, true);
+    ("fcfs", Queries.fcfs, true);
+  ]
+
+let test_sql_builtins_listed () =
+  List.iter
+    (fun (p : Protocol.t) ->
+      if p.Protocol.language = `Sql then
+        Alcotest.(check bool)
+          (p.Protocol.name ^ " is covered by the level property")
+          true
+          (List.exists
+             (fun (name, _, _) ->
+               p.Protocol.name = name
+               || String.starts_with ~prefix:(name ^ "-") p.Protocol.name)
+             sql_builtins))
+    Builtin.all
+
+let sql_levels_agree =
+  QCheck2.Test.make
+    ~name:"SQL protocols: same ordered keys at None, Basic and Full"
+    ~count:(Helpers.Config.qcheck_count 40)
+    QCheck2.Gen.(
+      triple (Helpers.batch_gen ~max_len:20 ()) small_nat
+        (list_size (int_bound 3) (int_range 1 6)))
+    (fun (triples, cut, marked) ->
+      let requests = Helpers.requests_of_triples triples in
+      let cut = if requests = [] then 0 else cut mod (List.length requests + 1) in
+      let history = List.filteri (fun i _ -> i < cut) requests in
+      let pending = List.filteri (fun i _ -> i >= cut) requests in
+      let rels = Relations.create ~extended:true () in
+      List.iter
+        (fun r ->
+          Table.insert rels.Relations.history
+            (Relations.row_of_request ~extended:true r))
+        (history
+        @ List.mapi (fun seq ta -> Request.abort_marker ~ta ~seq ()) marked);
+      Relations.insert_pending_batch rels pending;
+      List.for_all
+        (fun (name, sql, ordered) ->
+          let keys level =
+            let proto =
+              Protocol.of_sql ~optimize:level ~name ~guarantee:Protocol.Serializable
+                ~ordered sql
+            in
+            proto.Protocol.prepare rels ()
+          in
+          let full = keys `Full in
+          keys `None = full && keys `Basic = full)
+        sql_builtins)
+
 let test_ss2pl_blocks_locked () =
   (* T1 read-locked 10 (uncommitted); T2 wrote 20 (uncommitted);
      T5 wrote 50 and committed. *)
@@ -793,4 +856,7 @@ let tests =
     Alcotest.test_case "adaptive hysteresis" `Quick test_adaptive_hysteresis;
     Alcotest.test_case "adaptive validation" `Quick test_adaptive_validation;
     Alcotest.test_case "overhead probe" `Quick test_overhead_probe;
+    Alcotest.test_case "every builtin SQL protocol is in the level property"
+      `Quick test_sql_builtins_listed;
+    QCheck_alcotest.to_alcotest sql_levels_agree;
   ]

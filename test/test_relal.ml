@@ -24,6 +24,42 @@ let value_hash_consistent =
       let va = v_int a and vb = Value.Float (float_of_int b) in
       (not (Value.equal va vb)) || Value.hash va = Value.hash vb)
 
+(* The same over the edges of the int/float identification: ints beyond
+   2^53 (several of which equal one float), the int range's ends, -0. and
+   integral floats. *)
+let value_hash_edges =
+  let num =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun i -> `I i) int;
+          map (fun i -> `I ((1 lsl 53) + i)) (int_range (-4) 4);
+          map (fun i -> `I (-(1 lsl 53) + i)) (int_range (-4) 4);
+          map (fun i -> `I (max_int - i)) (int_range 0 4);
+          map (fun i -> `I (min_int + i)) (int_range 0 4);
+          map (fun i -> `I i) (int_range (-3) 3);
+          oneofl [ `F 0.; `F (-0.); `F 0x1p53; `F 0x1p62; `F (-0x1p62); `F 2.5; `F nan ];
+        ])
+  in
+  let value = function
+    | `I i -> Value.Int i
+    | `F f -> Value.Float f
+  in
+  QCheck2.Test.make ~name:"Value: equal implies same hash (int/float edges)"
+    ~count:1000
+    QCheck2.Gen.(pair num (pair num bool))
+    (fun (a, (b, as_float)) ->
+      let va = value a in
+      (* [as_float] turns [b] into the float its int converts to. *)
+      let vb =
+        match (b, as_float) with
+        | `I i, true -> Value.Float (float_of_int i)
+        | b, _ -> value b
+      in
+      List.for_all
+        (fun (x, y) -> (not (Value.equal x y)) || Value.hash x = Value.hash y)
+        [ (va, vb); (vb, va); (va, va) ])
+
 let test_schema_find () =
   let s =
     Schema.of_list
@@ -579,4 +615,5 @@ let tests =
     Alcotest.test_case "as_int non-finite" `Quick test_as_int_non_finite;
     Alcotest.test_case "sum domains" `Quick test_sum_domains;
     QCheck_alcotest.to_alcotest index_consistency_prop;
+    QCheck_alcotest.to_alcotest value_hash_edges;
   ]

@@ -271,6 +271,36 @@ let test_listing1_optimizer_shrinks_plan () =
      filter path; plan shapes must differ. *)
   Alcotest.(check bool) "plans differ" true (p_none <> p_full)
 
+(* At `Full, RLockedObjects' NOT EXISTS (... OR ...) becomes one anti join
+   per disjunct and WLockedObjects' LEFT JOIN ... IS NULL becomes an anti
+   join: three keyed anti joins without a residual, and no LEFT JOIN. *)
+let test_listing1_plan_shape () =
+  let cat = listing1_db () in
+  let plan = Exec.prepare ~optimize:`Full cat Ds_core.Queries.ss2pl in
+  let rec joins = function
+    | Ra.Scan _ | Ra.Values _ -> []
+    | Ra.Filter (_, p)
+    | Ra.Project (_, p)
+    | Ra.Distinct p
+    | Ra.Sort (_, p)
+    | Ra.Limit (_, p) -> joins p
+    | Ra.Group g -> joins g.Ra.input
+    | Ra.Cross (l, r)
+    | Ra.Union_all (l, r)
+    | Ra.Union (l, r)
+    | Ra.Except (l, r)
+    | Ra.Intersect (l, r) -> joins l @ joins r
+    | Ra.Join j -> j :: (joins j.Ra.left @ joins j.Ra.right)
+  in
+  let js = joins plan in
+  let anti = List.filter (fun j -> j.Ra.kind = Ra.Anti) js in
+  Alcotest.(check int) "three anti joins (two RLockedObjects, one WLockedObjects)"
+    3 (List.length anti);
+  Alcotest.(check bool) "anti joins test no residual" true
+    (List.for_all (fun j -> j.Ra.residual = None && j.Ra.lkeys <> []) anti);
+  Alcotest.(check bool) "no LEFT JOIN left" false
+    (List.exists (fun j -> j.Ra.kind = Ra.Left) js)
+
 let test_listing1_table_index_agreement () =
   (* Joins probing the persistent table index must produce exactly the same
      rows as ephemeral hashing. *)
@@ -472,4 +502,5 @@ let tests =
     Alcotest.test_case "explain analyze" `Quick test_explain_analyze;
     Alcotest.test_case "profile agrees with eval" `Quick test_profile_agrees_with_eval;
     Alcotest.test_case "render" `Quick test_render;
+    Alcotest.test_case "listing 1 plan shape at Full" `Quick test_listing1_plan_shape;
   ]
