@@ -1339,31 +1339,29 @@ let run_sharded (cfg : config) =
   in
   let rels l = Scheduler.relations l.sched in
   let lanes = Array.to_list sim.lanes in
-  (* At S=1 the merged logs are the lane's own, built without the sorted
-     copies a merge of several lanes needs. *)
-  let single = Array.length sim.lanes = 1 in
-  let concat f = List.concat_map (fun l -> f (rels l)) lanes in
-  (* The per-lane rte logs interleave by admission stamp: every executed
-     request was qualified, hence stamped, so the merge reconstructs the one
-     global admission order the stamp hook handed out. At S=1 nothing is
-     stamped and the lane's own order stands. *)
-  let merged_rte =
-    if single then Relations.rte_requests (rels sim.lanes.(0))
-    else
-      concat Relations.rte_requests
-      |> List.map (fun (r : Request.t) ->
-             ( Option.value ~default:max_int
-                 (Hashtbl.find_opt sim.stamps (Request.key r)),
-               r ))
-      |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-      |> List.map snd
-  in
-  (* Delivery positions come from the run-global [sim.deliveries] counter,
-     so sorting the union of per-lane deliveries by position is the actual
-     cross-lane delivery order; one lane records them in that order. *)
-  let merged_execution_order =
-    if single then Relations.execution_order (rels sim.lanes.(0))
-    else concat Relations.deliveries |> List.sort compare |> List.map snd
+  (* One lane has nothing to merge: its rte log and its assignment rows,
+     already in admission and delivery order, are the merged views, taken
+     without the keyed and sorted copies below (at one lane those copies
+     were the end of a run's largest transient allocation and raised the
+     listing1-uniform heap peak). Several lanes interleave
+     by admission stamp: every executed request was qualified, hence
+     stamped, so the merge reconstructs the one global admission order the
+     stamp hook handed out. Delivery positions come from the run-global
+     [sim.deliveries] counter, so sorting the union of per-lane deliveries
+     by position is the actual cross-lane delivery order. *)
+  let merged_rte, merged_execution_order =
+    match sim.lanes with
+    | [| l |] -> (Relations.rte_requests (rels l), Relations.execution_order (rels l))
+    | _ ->
+      ( List.concat_map (fun l -> Relations.rte_requests (rels l)) lanes
+        |> List.map (fun (r : Request.t) ->
+               ( Option.value ~default:max_int
+                   (Hashtbl.find_opt sim.stamps (Request.key r)),
+                 r ))
+        |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+        |> List.map snd,
+        List.concat_map (fun l -> Relations.deliveries (rels l)) lanes
+        |> List.sort compare |> List.map snd )
   in
   ( stats,
     {

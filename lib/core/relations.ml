@@ -15,6 +15,7 @@ type t = {
   replication : Table.t;
   failover : Table.t;
   extended : bool;
+  mutable last_pos : int;
 }
 
 let base_columns =
@@ -158,6 +159,7 @@ let create ?(extended = false) () =
     replication;
     failover;
     extended;
+    last_pos = min_int;
   }
 
 (* One shared value per operation, and shared small-int boxes
@@ -359,6 +361,11 @@ let register_workers t ~workers ~cores =
 let worker_count t = Table.row_count t.workers
 
 let record_assignment t ~cycle ~cls ~worker ~pos (r : Request.t) =
+  if pos <= t.last_pos then
+    invalid_arg
+      (Printf.sprintf "Relations.record_assignment: position %d after %d" pos
+         t.last_pos);
+  t.last_pos <- pos;
   Table.insert t.assignment
     [|
       Value.int cycle;
@@ -410,23 +417,16 @@ let deliveries t =
     t.assignment []
 
 (* The merged parallel schedule: assignment rows by delivery position. The
-   checker compares this against [rte] order for conflict equivalence. Rows
-   are recorded as deliveries happen, so the keys normally come straight
-   off the table; a table out of position order is sorted. *)
+   checker compares this against [rte] order for conflict equivalence. The
+   table is append-only and [record_assignment] takes increasing positions,
+   so table order is position order. *)
 let execution_order t =
-  let ascending = ref true and next = ref max_int in
-  let keys =
-    Table.fold_right
-      (fun row acc ->
-        match (row.(3), row.(4), row.(5)) with
-        | Value.Int ta, Value.Int intrata, Value.Int pos ->
-          if pos >= !next then ascending := false;
-          next := pos;
-          (ta, intrata) :: acc
-        | _ -> acc)
-      t.assignment []
-  in
-  if !ascending then keys else List.sort compare (deliveries t) |> List.map snd
+  Table.fold_right
+    (fun row acc ->
+      match (row.(3), row.(4)) with
+      | Value.Int ta, Value.Int intrata -> (ta, intrata) :: acc
+      | _ -> acc)
+    t.assignment []
 
 let table_facts t name =
   match name with
@@ -450,6 +450,7 @@ let clear t =
   Table.clear t.dead;
   Table.clear t.workers;
   Table.clear t.assignment;
+  t.last_pos <- min_int;
   Table.clear t.supervision;
   Table.clear t.shards;
   Table.clear t.shard_assignment;

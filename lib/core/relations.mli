@@ -48,6 +48,8 @@ type t = {
       (** promotion log: [epoch | cycle | reason] — one row per standby
           promotion (epoch fencing boundary) *)
   extended : bool;
+  mutable last_pos : int;
+      (** the last [pos] logged into [assignment] ([min_int] when empty) *)
 }
 
 val create : ?extended:bool -> unit -> t
@@ -112,7 +114,9 @@ val register_workers : t -> workers:int -> cores:int -> unit
 
 val worker_count : t -> int
 
-(** Logs one row into [assignment] at the request's delivery time. *)
+(** Logs one row into [assignment] at the request's delivery time.
+    @raise Invalid_argument unless [pos] is greater than every position
+    logged before, so the table stays in delivery order. *)
 val record_assignment :
   t -> cycle:int -> cls:int -> worker:int -> pos:int -> Request.t -> unit
 
@@ -148,7 +152,7 @@ val shard_assignment_count : t -> int
     delivered request with its delivery position. *)
 val deliveries : t -> (int * (int * int)) list
 
-(** The merged parallel schedule as [(ta, intrata)] keys, sorted by the
+(** The merged parallel schedule as [(ta, intrata)] keys in order of the
     [pos] column — the delivery order across all workers, which the checker
     compares against [rte] order for conflict equivalence. *)
 val execution_order : t -> (int * int) list

@@ -189,10 +189,6 @@ let rec estimate = function
    rows it matched so far (latest first). *)
 type parked = { lrow : Value.t array; mutable matches : Value.t array list }
 
-(* Raised by a row consumer that needs no more rows (EXISTS found one, LIMIT
-   is full); the producer's caller catches it and stops. *)
-exception Stop
-
 (* Expressions are evaluated over a split row: columns [0, |l|) read [l],
    the rest read [r]. A join tests its residual on a candidate pair this
    way without building the concatenated row; a single row is [l] with
@@ -256,14 +252,14 @@ let rec eval env l r e =
     in
     arm arms
 
+(* EXISTS and LIMIT stop their producer by raising an exception of their
+   own, so a nested LIMIT or EXISTS cannot catch it and keep streaming. *)
 and exists env p =
-  let found = ref false in
-  (try
-     iter env p (fun _ ->
-         found := true;
-         raise Stop)
-   with Stop -> ());
-  !found
+  let exception Found in
+  try
+    iter env p (fun _ -> raise Found);
+    false
+  with Found -> true
 
 (* [iter env plan k] streams the rows of [plan] into [k] in result order.
    Scan, Filter, Project, Union all and the probe side of a join pass rows
@@ -303,13 +299,14 @@ and iter env plan k =
   | Sort (keys, p) -> List.iter k (sort_rows env keys (collect env p))
   | Limit (n, p) ->
     if n > 0 then begin
+      let exception Full in
       let left = ref n in
       try
         iter env p (fun row ->
             decr left;
             k row;
-            if !left = 0 then raise Stop)
-      with Stop -> ()
+            if !left = 0 then raise Full)
+      with Full -> ()
     end
   | Group { keys; aggs; input } -> List.iter k (eval_group env keys aggs input)
 

@@ -815,6 +815,25 @@ let test_overhead_probe () =
   Alcotest.(check bool) "amortized scales" true
     (amortized > 0. && amortized < 10.)
 
+(* The assignment table is in delivery order by construction:
+   [record_assignment] takes increasing positions only, and
+   [execution_order] reads the table in order. *)
+let test_assignment_positions () =
+  let rels = Relations.create () in
+  let r ta = Request.make ~id:ta ~ta ~intrata:1 ~op:Op.Read ~obj:ta () in
+  Relations.record_assignment rels ~cycle:1 ~cls:0 ~worker:0 ~pos:3 (r 1);
+  Relations.record_assignment rels ~cycle:1 ~cls:0 ~worker:1 ~pos:7 (r 2);
+  Alcotest.(check (list (pair int int)))
+    "table order" [ (1, 1); (2, 1) ] (Relations.execution_order rels);
+  Alcotest.check_raises "position not after the last"
+    (Invalid_argument "Relations.record_assignment: position 7 after 7")
+    (fun () ->
+      Relations.record_assignment rels ~cycle:2 ~cls:0 ~worker:0 ~pos:7 (r 3));
+  Relations.clear rels;
+  Relations.record_assignment rels ~cycle:3 ~cls:0 ~worker:0 ~pos:0 (r 4);
+  Alcotest.(check (list (pair int int)))
+    "clear restarts positions" [ (4, 1) ] (Relations.execution_order rels)
+
 let tests =
   [
     Alcotest.test_case "table 2 schema" `Quick test_table2_schema;
@@ -856,6 +875,8 @@ let tests =
     Alcotest.test_case "adaptive hysteresis" `Quick test_adaptive_hysteresis;
     Alcotest.test_case "adaptive validation" `Quick test_adaptive_validation;
     Alcotest.test_case "overhead probe" `Quick test_overhead_probe;
+    Alcotest.test_case "assignment positions increase" `Quick
+      test_assignment_positions;
     Alcotest.test_case "every builtin SQL protocol is in the level property"
       `Quick test_sql_builtins_listed;
     QCheck_alcotest.to_alcotest sql_levels_agree;

@@ -170,6 +170,40 @@ let test_cte () =
   Alcotest.(check bool) "cte chain" true
     (List.map ints r = [ [ Value.Str "bob" ]; [ Value.Str "cleo" ] ])
 
+(* A LIMIT or EXISTS nested under a UNION ALL must not swallow the stop of
+   the LIMIT that reads it: each query returns exactly [n] rows at every
+   optimizer level. *)
+let test_nested_limit () =
+  let cat = fresh_db () in
+  List.iter
+    (fun level ->
+      List.iter
+        (fun (n, sql) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s at %s" sql
+               (match level with
+               | `None -> "none"
+               | `Basic -> "basic"
+               | `Full -> "full"))
+            n
+            (List.length (snd (Exec.query ~optimize:level cat sql))))
+        [
+          ( 2,
+            "SELECT id FROM (SELECT id FROM emp LIMIT 3) s UNION ALL SELECT \
+             id FROM emp LIMIT 2" );
+          ( 1,
+            "WITH f AS (SELECT id FROM emp LIMIT 3) SELECT id FROM f UNION \
+             ALL SELECT id FROM emp LIMIT 1" );
+          ( 3,
+            "SELECT id FROM (SELECT id FROM (SELECT id FROM emp LIMIT 2) s \
+             UNION ALL SELECT id FROM emp LIMIT 3) u UNION ALL SELECT id FROM \
+             emp LIMIT 3" );
+          ( 2,
+            "SELECT id FROM dept WHERE EXISTS (SELECT id FROM (SELECT id \
+             FROM emp LIMIT 2) s UNION ALL SELECT id FROM emp)" );
+        ])
+    [ `None; `Basic; `Full ]
+
 let test_dml () =
   let cat = fresh_db () in
   (match Exec.exec cat "UPDATE emp SET salary = salary * 2 WHERE dept = 10" with
@@ -484,6 +518,7 @@ let tests =
     Alcotest.test_case "set operations" `Quick test_set_ops_sql;
     Alcotest.test_case "group by" `Quick test_group_by_sql;
     Alcotest.test_case "cte" `Quick test_cte;
+    Alcotest.test_case "nested limit under union all" `Quick test_nested_limit;
     Alcotest.test_case "dml" `Quick test_dml;
     Alcotest.test_case "ddl" `Quick test_ddl;
     Alcotest.test_case "compile errors" `Quick test_compile_errors;
